@@ -1,106 +1,174 @@
 #include "backend/backend.h"
 
 #include <algorithm>
+#include <bit>
+#include <new>
 
 namespace btbsim {
 
 Backend::Backend(const BackendConfig &cfg, MemHier &mem)
     : cfg_(cfg), mem_(&mem)
-{}
+{
+    // A power-of-two ring of at least one bitmap word; canAllocate()
+    // keeps occupancy within rob_size, so ring order is ROB order.
+    const std::uint64_t cap =
+        std::bit_ceil(std::max<std::uint64_t>(cfg_.rob_size, 64));
+    rob_.reset(static_cast<RobEntry *>(std::calloc(cap, sizeof(RobEntry))));
+    if (!rob_)
+        throw std::bad_alloc();
+    mask_ = static_cast<std::uint32_t>(cap - 1);
+    wheel_.fill(kNil);
+    if (!cfg_.ideal)
+        ready_.assign(cap / 64, 0);
+}
 
 bool
 Backend::canAllocate() const
 {
-    return rob_.size() < cfg_.rob_size && iq_occupancy_ < cfg_.iq_size &&
+    return robOccupancy() < cfg_.rob_size && iq_occupancy_ < cfg_.iq_size &&
            loads_in_flight_ < cfg_.lq_size &&
            stores_in_flight_ < cfg_.sq_size;
+}
+
+bool
+Backend::producerLive(std::uint64_t seq, std::uint32_t slot) const
+{
+    // Commit is in order, so a producer younger than the last commit is
+    // still in the ring (the seq check guards a reused slot).
+    return seq != 0 && seq > last_committed_seq_ && rob_[slot].seq == seq;
 }
 
 void
 Backend::allocate(DynInst &&inst, Cycle now)
 {
-    inst.alloc_cycle = now;
-
-    // Rename: resolve sources to producing sequence numbers.
-    inst.dep1 = inst.in.src1 ? last_writer_[inst.in.src1] : 0;
-    inst.dep2 = inst.in.src2 ? last_writer_[inst.in.src2] : 0;
-    if (inst.in.dst)
+    // Rename: resolve sources to producing sequence numbers and slots.
+    const std::uint8_t src[2] = {inst.in.src1, inst.in.src2};
+    std::uint64_t dep[2];
+    std::uint32_t dep_slot[2];
+    for (int i = 0; i < 2; ++i) {
+        dep[i] = src[i] ? last_writer_[src[i]] : 0;
+        dep_slot[i] = last_writer_slot_[src[i]];
+    }
+    const auto slot = static_cast<std::uint32_t>(tail_ & mask_);
+    if (inst.in.dst) {
         last_writer_[inst.in.dst] = inst.seq;
+        last_writer_slot_[inst.in.dst] = slot;
+    }
 
     if (inst.in.isLoad())
         ++loads_in_flight_;
     if (inst.in.isStore())
         ++stores_in_flight_;
-    ++iq_occupancy_;
+
+    RobEntry &e = at(tail_++);
+    e.seq = inst.seq;
+    e.pc = inst.in.pc;
+    e.mem_addr = inst.in.mem_addr;
+    e.ready = now + 1;
+    e.complete = 0;
+    e.waiters = kNil;
+    e.cls = inst.in.cls;
+    e.port = inst.in.isLoad() ? 0 : inst.in.isStore() ? 1 : 2;
+    e.resteer = inst.resteer;
+    e.issued = false;
+    e.pending = 0;
 
     if (cfg_.ideal) {
         // Pure-dataflow scheduling: with unit latencies and unlimited
         // ports, completion is computable at allocation because all
         // producers allocated (and thus scheduled) earlier.
         Cycle c = now + 1;
-        auto chase = [&](std::uint64_t seq) {
-            if (seq == 0 || seq <= last_committed_seq_)
-                return;
-            auto it = live_.find(seq);
-            if (it != live_.end())
-                c = std::max(c, it->second + 1);
-        };
-        chase(inst.dep1);
-        chase(inst.dep2);
-        inst.issue_cycle = now;
-        inst.complete_cycle = c;
-        if (inst.resteer == Resteer::kExec) {
+        for (int i = 0; i < 2; ++i)
+            if (producerLive(dep[i], dep_slot[i]))
+                c = std::max(c, rob_[dep_slot[i]].complete + 1);
+        e.issued = true;
+        e.complete = c;
+        if (e.resteer == Resteer::kExec) {
             has_pending_resteer_ = true;
             pending_resteer_complete_ = c;
         }
-        live_.emplace(inst.seq, c);
-        rob_.push_back(RobEntry{std::move(inst), true});
-        --iq_occupancy_;
+        if (issue_log_)
+            issue_log_->push_back({e.seq, now, c});
         return;
     }
 
-    // Producer entries resolve through stable deque references; capture
-    // them before the move below. A stale pointer (producer committed or
-    // renamed before this window) is guarded by the seq check in
-    // depReady(), never dereferenced.
-    RobEntry *s1 = inst.in.src1 ? last_writer_entry_[inst.in.src1] : nullptr;
-    RobEntry *s2 = inst.in.src2 ? last_writer_entry_[inst.in.src2] : nullptr;
-
-    rob_.push_back(RobEntry{std::move(inst), false});
-    RobEntry &e = rob_.back();
-    e.dep1_src = s1;
-    e.dep2_src = s2;
-    if (e.inst.in.dst)
-        last_writer_entry_[e.inst.in.dst] = &e;
-
-    if (unissued_tail_)
-        unissued_tail_->next_unissued = &e;
-    else
-        unissued_head_ = &e;
-    unissued_tail_ = &e;
-
-    // A new chain entry voids the issue-stage sleep proof.
-    issue_sleep_until_ = 0;
+    ++iq_occupancy_;
+    for (int i = 0; i < 2; ++i) {
+        if (!producerLive(dep[i], dep_slot[i]))
+            continue;
+        RobEntry &p = rob_[dep_slot[i]];
+        if (p.issued) {
+            e.ready = std::max(e.ready, p.complete);
+        } else {
+            e.link_next[i] = p.waiters;
+            p.waiters = 2 * slot + static_cast<std::uint32_t>(i);
+            ++e.pending;
+        }
+    }
+    if (e.pending == 0)
+        schedule(slot, e.ready);
 }
 
-bool
-Backend::depReady(std::uint64_t seq, const RobEntry *src, Cycle now) const
+void
+Backend::setReady(std::uint32_t slot)
 {
-    if (seq == 0 || seq <= last_committed_seq_)
-        return true;
-    if (!src)
-        return true; // Producer predates the measured window.
-    if (!src->issued)
-        return false;
-    return src->inst.complete_cycle <= now;
+    ready_[slot / 64] |= std::uint64_t{1} << (slot % 64);
+}
+
+void
+Backend::schedule(std::uint32_t slot, Cycle ready)
+{
+    if (ready <= wheel_now_) {
+        setReady(slot);
+    } else if (ready - wheel_now_ <= kWheelSize) {
+        std::uint32_t &bucket = wheel_[ready % kWheelSize];
+        rob_[slot].wheel_next = bucket;
+        bucket = slot;
+    } else {
+        overflow_.push_back(slot);
+        overflow_min_ = std::min(overflow_min_, ready);
+    }
+}
+
+void
+Backend::migrateOverflow()
+{
+    const Cycle horizon = wheel_now_ + kWheelSize;
+    overflow_min_ = kNever;
+    std::size_t kept = 0;
+    for (const std::uint32_t slot : overflow_) {
+        const Cycle r = rob_[slot].ready;
+        if (r <= horizon) {
+            schedule(slot, r);
+        } else {
+            overflow_[kept++] = slot;
+            overflow_min_ = std::min(overflow_min_, r);
+        }
+    }
+    overflow_.resize(kept);
+}
+
+void
+Backend::advanceWheel(Cycle now)
+{
+    // After each step every slot ready at or before wheel_now_ is in the
+    // bitmap, and the overflow list holds only slots ready after
+    // wheel_now_ + kWheelSize.
+    while (wheel_now_ < now) {
+        ++wheel_now_;
+        std::uint32_t &bucket = wheel_[wheel_now_ % kWheelSize];
+        for (std::uint32_t s = bucket; s != kNil; s = rob_[s].wheel_next)
+            setReady(s);
+        bucket = kNil;
+        if (overflow_min_ <= wheel_now_ + kWheelSize)
+            migrateOverflow();
+    }
 }
 
 unsigned
-Backend::execLatency(const DynInst &d, Cycle now)
+Backend::execLatency(const RobEntry &e, Cycle now)
 {
-    if (cfg_.ideal)
-        return 1;
-    switch (d.in.cls) {
+    switch (e.cls) {
       case InstClass::kAlu:
       case InstClass::kBranch:
         return 1;
@@ -113,7 +181,7 @@ Backend::execLatency(const DynInst &d, Cycle now)
       case InstClass::kStore:
         return 1;
       case InstClass::kLoad: {
-        const Cycle done = mem_->load(d.in.pc, d.in.mem_addr, now);
+        const Cycle done = mem_->load(e.pc, e.mem_addr, now);
         return static_cast<unsigned>(done > now ? done - now : 1);
       }
     }
@@ -121,149 +189,89 @@ Backend::execLatency(const DynInst &d, Cycle now)
 }
 
 void
+Backend::issueSlot(std::uint32_t slot, Cycle now)
+{
+    RobEntry &e = rob_[slot];
+    ready_[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
+    --iq_occupancy_;
+    e.issued = true;
+    e.complete = now + execLatency(e, now);
+    if (e.resteer == Resteer::kExec) {
+        has_pending_resteer_ = true;
+        pending_resteer_complete_ = e.complete;
+    }
+    if (issue_log_)
+        issue_log_->push_back({e.seq, now, e.complete});
+
+    // Wake the dependents: each learns this operand's cycle; those with
+    // no operand left pending wait for their ready cycle in the wheel.
+    for (std::uint32_t link = e.waiters; link != kNil;) {
+        const std::uint32_t c = link / 2;
+        RobEntry &d = rob_[c];
+        link = d.link_next[link % 2];
+        d.ready = std::max(d.ready, e.complete);
+        if (--d.pending == 0)
+            schedule(c, d.ready);
+    }
+    e.waiters = kNil;
+}
+
+void
+Backend::issue(Cycle now)
+{
+    // Oldest first from the ROB head: the head's bitmap word from the
+    // head's bit, the following words around the ring, and finally the
+    // head's word below the head's bit. Every bit is a ready, un-issued
+    // entry, so this is the old chain walk minus the entries it skipped.
+    // Wakeups during the scan go to the wheel, never to the bitmap.
+    const unsigned cap[3] = {cfg_.load_ports, cfg_.store_ports,
+                             cfg_.misc_ports};
+    unsigned used[3] = {};
+    unsigned issued = 0;
+    const std::size_t words = ready_.size();
+    const auto head = static_cast<std::uint32_t>(head_ & mask_);
+    const std::size_t head_word = head / 64;
+    const std::uint64_t from_head = ~std::uint64_t{0} << (head % 64);
+    for (std::size_t k = 0; k <= words; ++k) {
+        const std::size_t w = (head_word + k) & (words - 1);
+        const std::uint64_t range =
+            k == 0 ? from_head : k == words ? ~from_head : ~std::uint64_t{0};
+        for (std::uint64_t bits = ready_[w] & range; bits; bits &= bits - 1) {
+            if (issued == cfg_.issue_width)
+                return;
+            const auto slot = static_cast<std::uint32_t>(
+                w * 64 + static_cast<unsigned>(std::countr_zero(bits)));
+            const unsigned port = rob_[slot].port;
+            if (used[port] == cap[port])
+                continue; // Ready but port-capped: eligible next cycle.
+            issueSlot(slot, now);
+            ++used[port];
+            ++issued;
+        }
+    }
+}
+
+void
 Backend::runCycle(Cycle now)
 {
-    // ---- Issue ----------------------------------------------------------
-    // Walk the un-issued chain (the ROB-order subsequence the old
-    // full-ROB scan visited after skipping issued entries); issue unlinks
-    // in place, so long-lived issued entries cost nothing per cycle.
-    unsigned issued = 0, loads = 0, stores = 0, misc = 0;
-    unsigned window_scanned = 0;
-    // Whole-stage sleep: when the previous walk proved that no entry can
-    // become issuable before issue_sleep_until_ (and nothing was
-    // allocated since — allocate() resets the bound), the walk is a
-    // provable no-op and is skipped outright.
-    if (!cfg_.ideal && issue_sleep_until_ > now)
-        goto commit_stage;
-    {
-    constexpr Cycle kNoWake = ~Cycle{0};
-    Cycle min_wake = kNoWake;
-
-    RobEntry *prev = nullptr;
-    for (RobEntry *e = cfg_.ideal ? nullptr : unissued_head_; e;) {
-        if (issued >= cfg_.issue_width) {
-            // Unvisited tail: no bound on it, re-walk next cycle.
-            min_wake = now + 1;
-            break;
-        }
-        // Only the IQ window of oldest un-issued instructions is
-        // eligible (canAllocate() bounds total un-issued to iq_size, so
-        // this break is a safety net rather than a reachable limit).
-        if (++window_scanned > cfg_.iq_size) {
-            min_wake = now + 1;
-            break;
-        }
-        DynInst &d = e->inst;
-        RobEntry *next = e->next_unissued;
-        if (d.alloc_cycle >= now) {
-            // Allocated this cycle; earliest issue is next cycle.
-            min_wake = std::min(min_wake, now + 1);
-            prev = e;
-            e = next;
-            continue;
-        }
-
-        if (e->stall_until <= now &&
-            (!depReady(d.dep1, e->dep1_src, now) ||
-             !depReady(d.dep2, e->dep2_src, now))) {
-            // Bound the next possible wake-up. An issued producer has a
-            // fixed completion cycle. An un-issued producer sits earlier
-            // in the chain (rename order), so it cannot issue at `now`
-            // after this visit: it cannot issue before now+1, and with
-            // >= 1 cycle latencies its consumer cannot be ready before
-            // now+2 (or the producer's own bound + 1, whichever is
-            // later).
-            auto wake = [&](std::uint64_t seq, const RobEntry *src) {
-                if (seq == 0 || seq <= last_committed_seq_ || !src)
-                    return Cycle{0}; // This dep is ready; other one binds.
-                if (!src->issued)
-                    return std::max(now + 2, src->stall_until + 1);
-                return src->inst.complete_cycle <= now
-                           ? Cycle{0}
-                           : src->inst.complete_cycle;
-            };
-            e->stall_until = std::max(wake(d.dep1, e->dep1_src),
-                                      wake(d.dep2, e->dep2_src));
-        }
-
-        if (e->stall_until > now) {
-            // Known-unready until e->stall_until: skip the producer
-            // re-check (and the port logic) entirely.
-            min_wake = std::min(min_wake, e->stall_until);
-            prev = e;
-            e = next;
-            continue;
-        }
-
-        if (d.in.isLoad()) {
-            if (loads >= cfg_.load_ports) {
-                // Ready but port-capped: eligible again next cycle.
-                min_wake = std::min(min_wake, now + 1);
-                prev = e;
-                e = next;
-                continue;
-            }
-        } else if (d.in.isStore()) {
-            if (stores >= cfg_.store_ports) {
-                min_wake = std::min(min_wake, now + 1);
-                prev = e;
-                e = next;
-                continue;
-            }
-        } else if (misc >= cfg_.misc_ports) {
-            min_wake = std::min(min_wake, now + 1);
-            prev = e;
-            e = next;
-            continue;
-        }
-
-        d.issue_cycle = now;
-        d.complete_cycle = now + execLatency(d, now);
-        e->issued = true;
-        --iq_occupancy_;
-        ++issued;
-        if (d.in.isLoad())
-            ++loads;
-        else if (d.in.isStore())
-            ++stores;
-        else
-            ++misc;
-
-        if (d.resteer == Resteer::kExec) {
-            has_pending_resteer_ = true;
-            pending_resteer_complete_ = d.complete_cycle;
-        }
-
-        if (prev)
-            prev->next_unissued = next;
-        else
-            unissued_head_ = next;
-        if (e == unissued_tail_)
-            unissued_tail_ = prev;
-        e = next;
-    }
-    // kNoWake (nothing pending at all) sleeps until the next allocation
-    // (allocate() clears the bound).
-    issue_sleep_until_ = min_wake;
+    if (!cfg_.ideal) {
+        advanceWheel(now);
+        issue(now);
     }
 
-  commit_stage:
-    // ---- Commit ---------------------------------------------------------
     unsigned commits = 0;
-    while (!rob_.empty() && commits < cfg_.commit_width) {
-        RobEntry &head = rob_.front();
-        if (!head.issued || head.inst.complete_cycle > now)
+    while (head_ != tail_ && commits < cfg_.commit_width) {
+        const RobEntry &e = at(head_);
+        if (!e.issued || e.complete > now)
             break;
-        if (head.inst.in.isStore()) {
-            mem_->store(head.inst.in.mem_addr, now);
+        if (e.cls == InstClass::kStore) {
+            mem_->store(e.mem_addr, now);
             --stores_in_flight_;
         }
-        if (head.inst.in.isLoad())
+        if (e.cls == InstClass::kLoad)
             --loads_in_flight_;
-        last_committed_seq_ = head.inst.seq;
-        if (cfg_.ideal)
-            live_.erase(head.inst.seq);
-        rob_.pop_front();
+        last_committed_seq_ = e.seq;
+        ++head_;
         ++committed_;
         ++commits;
     }

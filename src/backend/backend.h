@@ -10,14 +10,24 @@
  * An ideal mode (Fig. 11a) models a backend limited only by data
  * dependencies inside an 8K-instruction window: unit latencies, unlimited
  * ports and single-cycle retire of the whole window.
+ *
+ * Scheduling is event-driven. The ROB is a fixed ring indexed by
+ * allocation position. A consumer waiting on un-issued producers sits on
+ * their dependent lists; issuing a producer pushes its completion cycle
+ * to them. Once a consumer's last operand cycle is known it waits in a
+ * timing wheel (or, beyond the wheel's horizon, an overflow list) until
+ * that cycle, then joins a ready bitmap over ROB slots. Issue scans the
+ * bitmap oldest first from the ROB head under the issue-width and port
+ * caps.
  */
 
 #ifndef BTBSIM_BACKEND_BACKEND_H
 #define BTBSIM_BACKEND_BACKEND_H
 
+#include <array>
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
+#include <cstdlib>
+#include <memory>
 #include <vector>
 
 #include "common/stats.h"
@@ -84,42 +94,67 @@ class Backend
     Cycle takeExecResteer(Cycle now);
 
     std::uint64_t committed() const { return committed_; }
-    bool empty() const { return rob_.empty(); }
-    std::uint64_t robOccupancy() const { return rob_.size(); }
+    bool empty() const { return head_ == tail_; }
+    std::uint64_t robOccupancy() const { return tail_ - head_; }
+
+    /** One issued instruction. */
+    struct IssueEvent
+    {
+        std::uint64_t seq;
+        Cycle issue;
+        Cycle complete;
+    };
+
+    /** Append every issue to @p log (nullptr stops recording). */
+    void traceIssues(std::vector<IssueEvent> *log) { issue_log_ = log; }
 
     StatSet stats;
 
   private:
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+    static constexpr Cycle kNever = ~Cycle{0};
+    /// Wheel horizon in cycles: covers L1/L2/LLC load latencies; DRAM
+    /// completions land in the overflow list.
+    static constexpr unsigned kWheelSize = 64;
+
+    /// Compact ROB record (one cache line): only what issue, wakeup and
+    /// commit read.
     struct RobEntry
     {
-        DynInst inst;
-        bool issued = false;
-        /// Producing ROB entries of the renamed sources (null = none or
-        /// producer outside the ROB). Dereference only after checking the
-        /// dep seq against last_committed_seq_: deque references stay
-        /// stable until commit pops the producer.
-        RobEntry *dep1_src = nullptr;
-        RobEntry *dep2_src = nullptr;
-        /// Intrusive issue-scan chain threading the un-issued entries in
-        /// ROB order; issue unlinks, so the per-cycle scan never walks
-        /// already-issued entries.
-        RobEntry *next_unissued = nullptr;
-        /// Earliest cycle the dependencies can possibly be ready (issued
-        /// producers pin their completion cycle; an un-issued producer
-        /// cannot complete before now+2). Purely a scan shortcut:
-        /// readiness never regresses, so skipping the producer re-check
-        /// until this cycle is timing-identical to re-checking every
-        /// cycle.
-        Cycle stall_until = 0;
+        std::uint64_t seq;
+        Addr pc;
+        Addr mem_addr;
+        /// Latest known operand cycle (at least alloc + 1); the issue
+        /// cycle lower bound once pending reaches 0.
+        Cycle ready;
+        Cycle complete; ///< Valid once issued.
+        /// Head of the dependent-link list: link 2 * slot + op names
+        /// operand op of the consumer in slot.
+        std::uint32_t waiters;
+        std::uint32_t link_next[2]; ///< Next link after this operand's.
+        std::uint32_t wheel_next;   ///< Next slot in the same wheel bucket.
+        InstClass cls;
+        std::uint8_t port; ///< Port class: 0 load, 1 store, 2 misc.
+        Resteer resteer;
+        bool issued;
+        std::uint8_t pending; ///< Operands whose producer has not issued.
+    };
+
+    struct FreeDeleter
+    {
+        void operator()(RobEntry *p) const { std::free(p); }
     };
 
     BackendConfig cfg_;
     MemHier *mem_;
 
-    std::deque<RobEntry> rob_;
-    /// seq -> complete_cycle for live producers (ideal mode only: the
-    /// realistic path resolves producers through RobEntry pointers).
-    std::unordered_map<std::uint64_t, Cycle> live_;
+    /// The ring: zeroed on demand (calloc), so an 8K-entry ideal window
+    /// costs memory only for the slots it reaches.
+    std::unique_ptr<RobEntry[], FreeDeleter> rob_;
+    std::uint32_t mask_ = 0;      ///< Ring capacity - 1 (power of two).
+    std::uint64_t head_ = 0;      ///< Allocation position of the oldest.
+    std::uint64_t tail_ = 0;      ///< Next allocation position.
+
     std::uint64_t last_committed_seq_ = 0;
     std::uint64_t committed_ = 0;
 
@@ -132,22 +167,33 @@ class Backend
     Cycle pending_resteer_complete_ = 0;
     bool has_pending_resteer_ = false;
 
-    /// Rename: architectural register -> producing seq / ROB entry.
+    /// Rename: architectural register -> producing seq and ROB slot.
     std::uint64_t last_writer_[64] = {};
-    RobEntry *last_writer_entry_[64] = {};
+    std::uint32_t last_writer_slot_[64] = {};
 
-    RobEntry *unissued_head_ = nullptr;
-    RobEntry *unissued_tail_ = nullptr;
+    /// Timing wheel: bucket c % kWheelSize lists the slots that become
+    /// ready at cycle c, for c in (wheel_now_, wheel_now_ + kWheelSize].
+    std::array<std::uint32_t, kWheelSize> wheel_;
+    Cycle wheel_now_ = 0; ///< Last cycle whose bucket was drained.
+    /// Slots ready beyond the wheel's horizon, and their earliest cycle.
+    std::vector<std::uint32_t> overflow_;
+    Cycle overflow_min_ = kNever;
 
-    /// Proven lower bound on the next cycle any entry could issue; the
-    /// issue walk is skipped while now < issue_sleep_until_. Reset to 0
-    /// by allocate() (a new entry voids the proof). Purely a scan
-    /// shortcut — every bound is derived from fixed completion cycles,
-    /// so skipped walks are provable no-ops.
-    Cycle issue_sleep_until_ = 0;
+    /// Slots whose operands are ready and that have not issued (a power
+    /// of two words; empty in ideal mode).
+    std::vector<std::uint64_t> ready_;
 
-    bool depReady(std::uint64_t seq, const RobEntry *src, Cycle now) const;
-    unsigned execLatency(const DynInst &d, Cycle now);
+    std::vector<IssueEvent> *issue_log_ = nullptr;
+
+    RobEntry &at(std::uint64_t pos) { return rob_[pos & mask_]; }
+    bool producerLive(std::uint64_t seq, std::uint32_t slot) const;
+    void setReady(std::uint32_t slot);
+    void schedule(std::uint32_t slot, Cycle ready);
+    void advanceWheel(Cycle now);
+    void migrateOverflow();
+    void issue(Cycle now);
+    void issueSlot(std::uint32_t slot, Cycle now);
+    unsigned execLatency(const RobEntry &e, Cycle now);
 };
 
 } // namespace btbsim

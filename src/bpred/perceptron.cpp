@@ -1,26 +1,42 @@
 #include "bpred/perceptron.h"
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace btbsim {
 
-HashedPerceptron::HashedPerceptron(const PerceptronConfig &config)
-    : cfg_(config)
+namespace {
+
+/** Geometric history lengths from 0 to max_history: table 0 is the
+ *  PC-indexed bias table, the rest follow a geometric progression. */
+std::vector<unsigned>
+historyLengths(const PerceptronConfig &cfg)
 {
-    // Geometric history lengths from 0 to max_history: table 0 is the
-    // PC-indexed bias table, the rest follow a geometric progression.
-    hist_lengths_.resize(cfg_.num_tables);
-    hist_lengths_[0] = 0;
+    if (cfg.num_tables == 0 || cfg.num_tables > HashedPerceptron::kMaxTables)
+        throw std::invalid_argument(
+            "perceptron: num_tables must be in 1.." +
+            std::to_string(HashedPerceptron::kMaxTables));
+    std::vector<unsigned> lengths(cfg.num_tables);
+    lengths[0] = 0;
     const double ratio = std::pow(
-        static_cast<double>(cfg_.max_history) / 3.0,
-        1.0 / static_cast<double>(cfg_.num_tables - 2));
+        static_cast<double>(cfg.max_history) / 3.0,
+        1.0 / static_cast<double>(cfg.num_tables - 2));
     double len = 3.0;
-    for (unsigned t = 1; t < cfg_.num_tables; ++t) {
-        hist_lengths_[t] = static_cast<unsigned>(len + 0.5);
+    for (unsigned t = 1; t < cfg.num_tables; ++t) {
+        lengths[t] = static_cast<unsigned>(len + 0.5);
         len *= ratio;
     }
-    hist_lengths_.back() = cfg_.max_history;
+    lengths.back() = cfg.max_history;
+    return lengths;
+}
 
+} // namespace
+
+HashedPerceptron::HashedPerceptron(const PerceptronConfig &config)
+    : cfg_(config),
+      folds_(historyLengths(cfg_), log2i(cfg_.entries_per_table))
+{
     weights_.assign(std::size_t{cfg_.num_tables} * cfg_.entries_per_table,
                     SignedSatCounter<8>{});
 
@@ -33,23 +49,17 @@ HashedPerceptron::HashedPerceptron(const PerceptronConfig &config)
     theta_ = static_cast<int>(2.14 * cfg_.num_tables + 20.58);
 }
 
-unsigned
-HashedPerceptron::index(Addr pc, unsigned table) const
-{
-    std::uint64_t h = (pc >> 2) ^ ((pc >> 2) >> index_bits_) ^
-        table_hash_[table];
-    h ^= history_.fold(hist_lengths_[table], index_bits_);
-    return static_cast<unsigned>(h & index_mask_);
-}
-
 int
-HashedPerceptron::sum(Addr pc, std::vector<unsigned> &indices) const
+HashedPerceptron::sum(Addr pc, Indices &indices) const
 {
-    indices.resize(cfg_.num_tables);
+    std::uint64_t folds[kMaxTables];
+    history_.foldAll(folds_, folds);
+    const std::uint64_t pc_hash = (pc >> 2) ^ ((pc >> 2) >> index_bits_);
     int s = 0;
     const SignedSatCounter<8> *w = weights_.data();
     for (unsigned t = 0; t < cfg_.num_tables; ++t) {
-        indices[t] = index(pc, t);
+        indices[t] = static_cast<unsigned>(
+            (pc_hash ^ table_hash_[t] ^ folds[t]) & index_mask_);
         s += w[std::size_t{t} * cfg_.entries_per_table + indices[t]].value();
     }
     return s;
@@ -58,14 +68,15 @@ HashedPerceptron::sum(Addr pc, std::vector<unsigned> &indices) const
 bool
 HashedPerceptron::predict(Addr pc) const
 {
-    std::vector<unsigned> indices;
+    Indices indices;
     return sum(pc, indices) >= 0;
 }
 
 bool
 HashedPerceptron::predictAndTrain(Addr pc, bool taken)
 {
-    const int s = sum(pc, scratch_);
+    Indices idx;
+    const int s = sum(pc, idx);
     const bool pred = s >= 0;
 
     ++lookups_;
@@ -75,7 +86,7 @@ HashedPerceptron::predictAndTrain(Addr pc, bool taken)
     // Train on mispredict or low confidence.
     if (pred != taken || std::abs(s) <= theta_) {
         for (unsigned t = 0; t < cfg_.num_tables; ++t)
-            weights_[std::size_t{t} * cfg_.entries_per_table + scratch_[t]]
+            weights_[std::size_t{t} * cfg_.entries_per_table + idx[t]]
                 .add(taken ? 1 : -1);
 
         // Adaptive threshold (Seznec-style): grow on mispredicts, shrink

@@ -11,6 +11,7 @@
 #ifndef BTBSIM_BPRED_PERCEPTRON_H
 #define BTBSIM_BPRED_PERCEPTRON_H
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -68,9 +69,15 @@ class HashedPerceptron
     std::uint64_t lookups() const { return lookups_; }
     std::uint64_t mispredicts() const { return mispredicts_; }
 
+    /** Largest supported PerceptronConfig::num_tables. */
+    static constexpr unsigned kMaxTables = 64;
+
   private:
+    using Indices = std::array<unsigned, kMaxTables>;
+
     PerceptronConfig cfg_;
-    std::vector<unsigned> hist_lengths_;
+    /// One-pass fold of every table's history segment.
+    FoldSchedule folds_;
     /// Flattened weights: table t entry i lives at t * entries_per_table
     /// + i (one allocation, one indirection on the sum path).
     std::vector<SignedSatCounter<8>> weights_;
@@ -80,8 +87,6 @@ class HashedPerceptron
     std::uint64_t index_mask_ = 0;
     /// Per-table hash constant: t * phi64 >> 48, fixed at construction.
     std::vector<std::uint64_t> table_hash_;
-    /// Scratch for predictAndTrain (avoids a per-lookup allocation).
-    std::vector<unsigned> scratch_;
 
     int theta_ = 0;
     int tc_ = 0; ///< Adaptive-threshold training counter.
@@ -89,8 +94,8 @@ class HashedPerceptron
     std::uint64_t lookups_ = 0;
     std::uint64_t mispredicts_ = 0;
 
-    unsigned index(Addr pc, unsigned table) const;
-    int sum(Addr pc, std::vector<unsigned> &indices) const;
+    /** Weight sum at @p pc; fills each table's weight index. */
+    int sum(Addr pc, Indices &indices) const;
 };
 
 } // namespace btbsim

@@ -7,9 +7,11 @@
 #ifndef BTBSIM_COMMON_STATS_H
 #define BTBSIM_COMMON_STATS_H
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace btbsim {
@@ -94,11 +96,54 @@ double vecMax(const std::vector<double> &values);
 /**
  * A tiny registry mapping stat names to counter values, used by modules to
  * expose internal occurrence counts without hard-coding a schema.
+ *
+ * A counter appears only once it is first accessed. Hot-path sites name
+ * their counter with a string literal: that overload remembers the
+ * counter's map node by the literal's address, so later increments skip
+ * building a std::string and walking the map (map nodes never move).
  */
 class StatSet
 {
   public:
+    StatSet() = default;
+    StatSet(const StatSet &o) : counters_(o.counters_) {}
+    StatSet(StatSet &&o) noexcept : counters_(std::move(o.counters_))
+    {
+        o.cached_ = 0;
+    }
+
+    StatSet &
+    operator=(const StatSet &o)
+    {
+        counters_ = o.counters_;
+        cached_ = 0;
+        return *this;
+    }
+
+    StatSet &
+    operator=(StatSet &&o) noexcept
+    {
+        counters_ = std::move(o.counters_);
+        cached_ = 0;
+        o.cached_ = 0;
+        return *this;
+    }
+
     std::uint64_t &operator[](const std::string &name) { return counters_[name]; }
+
+    /** Counter named by a string literal (see the class comment). */
+    template <std::size_t N>
+    std::uint64_t &
+    operator[](const char (&name)[N])
+    {
+        for (unsigned i = 0; i < cached_; ++i)
+            if (cache_[i].name == name)
+                return *cache_[i].value;
+        std::uint64_t &v = counters_[name];
+        if (cached_ < kCacheSize)
+            cache_[cached_++] = {name, &v};
+        return v;
+    }
 
     std::uint64_t
     get(const std::string &name) const
@@ -117,7 +162,17 @@ class StatSet
     }
 
   private:
+    static constexpr unsigned kCacheSize = 16;
+
+    struct CachedCounter
+    {
+        const char *name;
+        std::uint64_t *value;
+    };
+
     std::map<std::string, std::uint64_t> counters_;
+    CachedCounter cache_[kCacheSize];
+    unsigned cached_ = 0;
 };
 
 } // namespace btbsim

@@ -39,7 +39,20 @@ steadyNs()
             .count());
 }
 
-thread_local detail::SpanThreadBuf *t_buf = nullptr;
+/** The calling thread's buffer; hands it back when the thread exits. */
+struct ThreadLease
+{
+    detail::SpanThreadBuf *buf = nullptr;
+    std::uint64_t generation = 0;
+
+    ~ThreadLease()
+    {
+        if (buf)
+            SpanCollector::instance().release(buf, generation);
+    }
+};
+
+thread_local ThreadLease t_lease;
 
 } // namespace
 
@@ -83,10 +96,9 @@ namespace detail {
 
 SpanThreadBuf::SpanThreadBuf(std::uint32_t tid, std::size_t ring_capacity,
                              bool open_counters)
-    : tid_(tid), counters_(open_counters)
-{
-    ring_.resize(ring_capacity == 0 ? 1 : ring_capacity);
-}
+    : tid_(tid), counters_(std::make_unique<HostCounters>(open_counters)),
+      ring_capacity_(ring_capacity == 0 ? 1 : ring_capacity)
+{}
 
 } // namespace detail
 
@@ -115,14 +127,34 @@ SpanCollector::SpanCollector()
 detail::SpanThreadBuf *
 SpanCollector::threadBuf()
 {
-    if (t_buf)
-        return t_buf;
+    if (t_lease.buf)
+        return t_lease.buf;
     std::lock_guard<std::mutex> lk(mu_);
-    threads_.push_back(std::make_unique<detail::SpanThreadBuf>(
-        static_cast<std::uint32_t>(threads_.size()), ring_capacity_,
-        host_counters_wanted_));
-    t_buf = threads_.back().get();
-    return t_buf;
+    if (!idle_.empty()) {
+        // Take over an exited thread's buffer: its aggregates and records
+        // stay, new spans add to them. Counters follow the new thread.
+        t_lease.buf = idle_.back();
+        idle_.pop_back();
+        t_lease.buf->counters_ =
+            std::make_unique<HostCounters>(host_counters_wanted_);
+    } else {
+        threads_.push_back(std::make_unique<detail::SpanThreadBuf>(
+            static_cast<std::uint32_t>(threads_.size()), ring_capacity_,
+            host_counters_wanted_));
+        t_lease.buf = threads_.back().get();
+    }
+    t_lease.generation = generation_;
+    return t_lease.buf;
+}
+
+void
+SpanCollector::release(detail::SpanThreadBuf *buf, std::uint64_t gen)
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    if (gen != generation_)
+        return; // reset() already dropped it.
+    buf->depth_ = 0;
+    idle_.push_back(buf);
 }
 
 std::uint32_t
@@ -163,7 +195,7 @@ SpanCollector::begin(detail::SpanThreadBuf *buf, const char *name)
 
     detail::SpanThreadBuf::Frame &f = buf->stack_[buf->depth_++];
     f.path = id;
-    f.start_counters = buf->counters_.read();
+    f.start_counters = buf->counters_->read();
     f.start_tsc = readTsc();
     f.start_ns = steadyNs();
 }
@@ -179,7 +211,7 @@ SpanCollector::end(detail::SpanThreadBuf *buf)
     }
     const std::uint64_t end_ns = steadyNs();
     const std::uint64_t end_tsc = readTsc();
-    const HostCounters::Values end_counters = buf->counters_.read();
+    const HostCounters::Values end_counters = buf->counters_->read();
 
     const detail::SpanThreadBuf::Frame &f = buf->stack_[--buf->depth_];
     const HostCounters::Values d = end_counters.minus(f.start_counters);
@@ -203,10 +235,15 @@ SpanCollector::end(detail::SpanThreadBuf *buf)
     a.cache_misses += d.cache_misses;
     a.task_clock_ns += d.task_clock_ns;
 
-    buf->ring_[(buf->head_ + buf->count_) % buf->ring_.size()] = rec;
-    if (buf->count_ < buf->ring_.size())
+    if (buf->ring_.size() < buf->ring_capacity_) {
+        if (buf->ring_.size() == buf->ring_.capacity())
+            buf->ring_.reserve(std::min(
+                buf->ring_capacity_,
+                std::max<std::size_t>(64, 2 * buf->ring_.size())));
+        buf->ring_.push_back(rec);
         ++buf->count_;
-    else {
+    } else {
+        buf->ring_[buf->head_] = rec;
         buf->head_ = (buf->head_ + 1) % buf->ring_.size();
         ++buf->dropped_;
     }
@@ -245,7 +282,7 @@ SpanCollector::pathName(std::uint32_t id) const
 std::string
 SpanCollector::currentPath() const
 {
-    const detail::SpanThreadBuf *buf = t_buf;
+    const detail::SpanThreadBuf *buf = t_lease.buf;
     if (!buf || buf->depth_ == 0 ||
         buf->depth_ > detail::SpanThreadBuf::kMaxDepth)
         return {};
@@ -317,6 +354,16 @@ SpanCollector::threadCount() const
 {
     std::lock_guard<std::mutex> lk(mu_);
     return threads_.size();
+}
+
+std::size_t
+SpanCollector::ringBytes() const
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    std::size_t n = 0;
+    for (const auto &t : threads_)
+        n += t->ringBytes();
+    return n;
 }
 
 void
@@ -409,7 +456,9 @@ SpanCollector::reset()
 {
     std::lock_guard<std::mutex> lk(mu_);
     threads_.clear();
-    t_buf = nullptr;
+    idle_.clear();
+    ++generation_;
+    t_lease.buf = nullptr;
     paths_.clear();
     paths_.push_back({0, ""});
     epoch_ns_ = steadyNs();

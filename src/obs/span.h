@@ -23,7 +23,11 @@
  *    window, like obs/tracer.h; overflow increments a dropped counter)
  *    exported as Chrome trace-event JSON (writeChromeTrace) that loads
  *    directly in Perfetto / chrome://tracing. BTBSIM_SPAN_OUT selects
- *    the output file; benches write it on exit.
+ *    the output file; benches write it on exit. A ring grows as records
+ *    arrive, and when a thread exits its buffer (ring, aggregates and
+ *    all) passes to the next thread that records, so span memory is
+ *    bounded by the peak number of live recording threads, not by how
+ *    many worker threads a process has ever started.
  *
  * Recording is on by default and costs one relaxed atomic load plus a
  * few dozen nanoseconds per span — span sites are phase-grained (per
@@ -81,7 +85,7 @@ struct ProfileBlock
     SpanProfile spans;
     std::uint64_t total_spans = 0; ///< Spans ever completed.
     std::uint64_t dropped = 0;     ///< Span records lost to ring overflow.
-    std::uint32_t threads = 0;     ///< Threads that recorded spans.
+    std::uint32_t threads = 0;     ///< Span buffers (peak live threads).
     bool counters_available = false;
 };
 
@@ -100,7 +104,8 @@ class SpanCollector;
 
 namespace detail {
 
-/** Per-thread span storage; only its owning thread writes it. */
+/** Per-thread span storage; only its owning thread writes it. Threads
+ *  own a buffer one at a time: an exited thread's buffer is reused. */
 class SpanThreadBuf
 {
   public:
@@ -110,7 +115,12 @@ class SpanThreadBuf
     std::uint32_t tid() const { return tid_; }
     std::uint64_t completed() const { return completed_; }
     std::uint64_t dropped() const { return dropped_; }
-    const HostCounters &counters() const { return counters_; }
+    const HostCounters &counters() const { return *counters_; }
+    /** Bytes held by the record ring. */
+    std::size_t ringBytes() const
+    {
+        return ring_.capacity() * sizeof(SpanRecord);
+    }
 
   private:
     friend class btbsim::obs::SpanCollector;
@@ -126,14 +136,17 @@ class SpanThreadBuf
     };
 
     std::uint32_t tid_;
-    HostCounters counters_;
+    /// Perf counters of the owning thread (reopened on handover).
+    std::unique_ptr<HostCounters> counters_;
 
     Frame stack_[kMaxDepth];
     std::size_t depth_ = 0;
     std::uint64_t deep_skips_ = 0; ///< Spans beyond kMaxDepth (untimed).
 
-    // Most-recent-window ring of records (Chrome trace export).
+    // Most-recent-window ring of records (Chrome trace export); grows
+    // to ring_capacity_ records, then wraps.
     std::vector<SpanRecord> ring_;
+    std::size_t ring_capacity_;
     std::size_t head_ = 0;
     std::size_t count_ = 0;
     std::uint64_t completed_ = 0; ///< Spans ended on this thread, ever.
@@ -215,12 +228,17 @@ class SpanCollector
     void reset();
 
     std::uint64_t dropped() const;
+    /** Span buffers: the peak number of threads recording at once. */
     std::size_t threadCount() const;
+    /** Bytes held by every buffer's record ring. */
+    std::size_t ringBytes() const;
 
     // ---- recording (ObsSpan only) -------------------------------------
     detail::SpanThreadBuf *threadBuf();
     void begin(detail::SpanThreadBuf *buf, const char *name);
     void end(detail::SpanThreadBuf *buf);
+    /** A thread holding @p buf exited (buffers of generation @p gen). */
+    void release(detail::SpanThreadBuf *buf, std::uint64_t gen);
 
   private:
     SpanCollector();
@@ -238,8 +256,12 @@ class SpanCollector
     std::size_t ring_capacity_;
     std::uint64_t epoch_ns_ = 0; ///< steady_clock origin of start_ns.
 
-    mutable std::mutex mu_; ///< Guards threads_ and paths_.
+    mutable std::mutex mu_; ///< Guards threads_, idle_ and paths_.
     std::vector<std::unique_ptr<detail::SpanThreadBuf>> threads_;
+    /// Buffers whose thread exited, ready for the next new thread.
+    std::vector<detail::SpanThreadBuf *> idle_;
+    /// Bumped by reset(): releases of older buffers are ignored.
+    std::uint64_t generation_ = 0;
     /** Index 0 is the root sentinel; ids are indices into this table. */
     std::vector<PathNode> paths_;
 };

@@ -123,9 +123,8 @@ Cpu::allocate()
            backend_.canAllocate()) {
         if (alloc_queue_.front().decode_cycle >= now_)
             break; // Decoded this cycle; allocate next cycle.
-        DynInst d = std::move(alloc_queue_.front());
+        backend_.allocate(std::move(alloc_queue_.front()), now_);
         alloc_queue_.pop_front();
-        backend_.allocate(std::move(d), now_);
         ++n;
     }
 }

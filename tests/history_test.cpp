@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "bpred/history.h"
+#include "common/rng.h"
 
 using namespace btbsim;
 
@@ -65,6 +68,53 @@ TEST(GlobalHistory, ResetClears)
     h.reset();
     EXPECT_EQ(h.low(64), 0u);
     EXPECT_EQ(h.fold(232, 12), 0u);
+}
+
+TEST(GlobalHistory, FoldAllMatchesFold)
+{
+    // Length sets: the perceptron's geometric lengths, a zero length,
+    // duplicates, word boundaries, unsorted and beyond the register.
+    const std::vector<std::vector<unsigned>> sets = {
+        {0, 3, 4, 5, 7, 9, 12, 16, 21, 28, 38, 51, 69, 93, 125, 168, 232},
+        {0, 0, 1, 1, 64, 64},
+        {63, 64, 65, 127, 128, 129, 191, 192, 193},
+        {255, 256, 257, 300, 1000},
+        {128, 5, 0, 65, 12},
+        {},
+    };
+    Rng rng(42);
+    GlobalHistory h;
+    std::vector<std::uint64_t> out;
+    for (int round = 0; round < 40; ++round) {
+        const unsigned shifts = 1 + static_cast<unsigned>(rng.nextBounded(300));
+        const double p = rng.nextDouble();
+        for (unsigned i = 0; i < shifts; ++i)
+            h.shift(rng.nextBool(p));
+        for (unsigned bits = 1; bits <= 64; ++bits) {
+            for (const auto &lengths : sets) {
+                const FoldSchedule s(lengths, bits);
+                ASSERT_EQ(s.size(), lengths.size());
+                out.assign(lengths.size() + 1, 0xdead);
+                h.foldAll(s, out.data());
+                for (std::size_t i = 0; i < lengths.size(); ++i)
+                    ASSERT_EQ(out[i], h.fold(lengths[i], bits))
+                        << "length " << lengths[i] << " bits " << bits;
+                EXPECT_EQ(out[lengths.size()], 0xdeadu); // no overrun
+            }
+        }
+    }
+}
+
+TEST(GlobalHistory, FoldAllZeroOutBits)
+{
+    GlobalHistory h;
+    for (int i = 0; i < 100; ++i)
+        h.shift(true);
+    const FoldSchedule s({0, 17, 232}, 0);
+    std::uint64_t out[3] = {1, 1, 1};
+    h.foldAll(s, out);
+    for (std::uint64_t v : out)
+        EXPECT_EQ(v, 0u);
 }
 
 TEST(PathHistory, ShiftMixes)

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "common/rng.h"
 #include "bpred/perceptron.h"
 
@@ -144,4 +146,15 @@ TEST(PerceptronConfig, SizeBytes)
     PerceptronConfig c;
     EXPECT_EQ(c.sizeBytes(), 64u * 1024u);
     EXPECT_EQ(PerceptronConfig::ofSizeKB(2).sizeBytes(), 2048u);
+}
+
+TEST(Perceptron, RejectsUnsupportedTableCounts)
+{
+    PerceptronConfig cfg;
+    cfg.num_tables = 0;
+    EXPECT_THROW(HashedPerceptron{cfg}, std::invalid_argument);
+    cfg.num_tables = HashedPerceptron::kMaxTables + 1;
+    EXPECT_THROW(HashedPerceptron{cfg}, std::invalid_argument);
+    cfg.num_tables = HashedPerceptron::kMaxTables;
+    EXPECT_NO_THROW(HashedPerceptron{cfg});
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <latch>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -170,6 +171,61 @@ TEST(Span, WorkerThreadsRecordIndependently)
     for (const SimStats &s : res.stats())
         EXPECT_TRUE(s.span_profile.empty())
             << s.config << "/" << s.workload;
+}
+
+TEST(Span, ExitedThreadBuffersAreReused)
+{
+    obs::SpanCollector &c = collector();
+    // Several multi-worker sweeps, each on fresh threads: span memory
+    // must stay bounded by the peak number of live recording threads
+    // (the main thread plus one sweep's workers), and every path keeps
+    // its full count across the handovers.
+    constexpr int kRounds = 5, kWorkers = 4, kSpans = 100; // > ring cap
+    {
+        obs::ObsSpan main_span("main_phase");
+    }
+    std::size_t bytes_after_first = 0;
+    for (int round = 0; round < kRounds; ++round) {
+        // All workers of a round are live at once, as in a sweep.
+        std::latch all_live(kWorkers);
+        std::vector<std::thread> workers;
+        for (int w = 0; w < kWorkers; ++w)
+            workers.emplace_back([&all_live] {
+                for (int i = 0; i < kSpans; ++i) {
+                    if (i == 1)
+                        all_live.arrive_and_wait();
+                    obs::ObsSpan outer("worker_point");
+                    obs::ObsSpan inner("worker_step");
+                }
+            });
+        for (std::thread &t : workers)
+            t.join();
+        if (round == 0)
+            bytes_after_first = c.ringBytes();
+        EXPECT_EQ(c.threadCount(), 1u + kWorkers) << "round " << round;
+        EXPECT_EQ(c.ringBytes(), bytes_after_first) << "round " << round;
+    }
+    EXPECT_LE(c.ringBytes(),
+              (1 + kWorkers) * 64 * sizeof(obs::SpanRecord));
+
+    const obs::ProfileBlock p = c.profile();
+    EXPECT_EQ(p.threads, 1u + kWorkers);
+    EXPECT_EQ(p.spans.at("main_phase").count, 1u);
+    EXPECT_EQ(p.spans.at("worker_point").count,
+              std::uint64_t{kRounds} * kWorkers * kSpans);
+    EXPECT_EQ(p.spans.at("worker_point/worker_step").count,
+              std::uint64_t{kRounds} * kWorkers * kSpans);
+    EXPECT_EQ(p.total_spans,
+              1 + std::uint64_t{kRounds} * kWorkers * kSpans * 2);
+
+    // The Chrome trace still exports the retained window of each buffer.
+    std::ostringstream os;
+    c.writeChromeTrace(os);
+    const obs::JsonValue doc = obs::parseJson(os.str());
+    std::size_t complete = 0;
+    for (const obs::JsonValue &e : doc.at("traceEvents").array)
+        complete += e.at("ph").asString() == "X";
+    EXPECT_EQ(complete, 1u + kWorkers * 64);
 }
 
 TEST(Span, RunOneAttachesPerRunSlice)

@@ -106,6 +106,49 @@ TEST(StatSet, MergeAndGet)
     EXPECT_EQ(a.get("z"), 0u);
 }
 
+TEST(StatSet, LiteralCounterIsTheNamedCounter)
+{
+    StatSet a;
+    EXPECT_TRUE(a.all().empty()); // nothing until first increment
+    for (int i = 0; i < 3; ++i)
+        ++a["hits"];
+    const std::string name = "hits";
+    ++a[name];
+    EXPECT_EQ(a.get("hits"), 4u);
+    EXPECT_EQ(a.all().size(), 1u);
+    // More literals than the node cache holds still count correctly.
+    const char *names[] = {"c0", "c1", "c2", "c3", "c4", "c5", "c6",
+                           "c7", "c8", "c9", "c10", "c11", "c12", "c13",
+                           "c14", "c15", "c16", "c17"};
+    for (int round = 0; round < 2; ++round) {
+        ++a["c0"], ++a["c1"], ++a["c2"], ++a["c3"], ++a["c4"], ++a["c5"];
+        ++a["c6"], ++a["c7"], ++a["c8"], ++a["c9"], ++a["c10"], ++a["c11"];
+        ++a["c12"], ++a["c13"], ++a["c14"], ++a["c15"], ++a["c16"];
+        ++a["c17"];
+    }
+    for (const char *n : names)
+        EXPECT_EQ(a.get(n), 2u) << n;
+}
+
+TEST(StatSet, CopiesCountIndependently)
+{
+    StatSet a;
+    ++a["x"];
+    StatSet b = a;
+    ++b["x"];
+    ++a["x"];
+    ++a["x"];
+    EXPECT_EQ(a.get("x"), 3u);
+    EXPECT_EQ(b.get("x"), 2u);
+    b = a;
+    ++b["x"];
+    EXPECT_EQ(a.get("x"), 3u);
+    EXPECT_EQ(b.get("x"), 4u);
+    StatSet c = std::move(b);
+    ++c["x"];
+    EXPECT_EQ(c.get("x"), 5u);
+}
+
 TEST(SatCounter, SaturatesUp)
 {
     SatCounter<2> c;
