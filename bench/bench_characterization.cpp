@@ -51,9 +51,9 @@ main()
 
     expectation(
         "Paper (CVP-1 server traces): avg dynamic basic block 9.4 "
-        "instructions; 34.8%% of dynamic branches are never-taken "
-        "conditionals; 15.0%% always-taken conditionals; 9.1%% "
-        "single-target indirects; 138KB average for 90%% dynamic line "
-        "coverage (319KB for 100%%).");
+        "instructions; 34.8% of dynamic branches are never-taken "
+        "conditionals; 15.0% always-taken conditionals; 9.1% "
+        "single-target indirects; 138KB average for 90% dynamic line "
+        "coverage (319KB for 100%).");
     return 0;
 }

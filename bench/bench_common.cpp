@@ -9,7 +9,6 @@
 #include "exp/experiment.h"
 #include "obs/export.h"
 #include "obs/span.h"
-#include "serve/shard_pool.h"
 #include "traceio/replay_env.h"
 
 namespace btbsim::bench {
@@ -79,9 +78,6 @@ runAll(const Context &ctx, const std::vector<CpuConfig> &configs)
 {
     exp::ExperimentOptions opt = exp::ExperimentOptions::fromEnv();
     opt.run = ctx.opt;
-    // BTBSIM_SHARDS=N: run the sweep on the persistent in-process shard
-    // pool (shared replay-chunk cache) instead of per-sweep threads.
-    serve::ShardPool *pool = serve::applyEnvPool(opt);
 
     // Compact live progress: one char per completed point.
     const std::size_t total = configs.size() * ctx.suite.size();
@@ -114,10 +110,6 @@ runAll(const Context &ctx, const std::vector<CpuConfig> &configs)
                     : (" (cache: " + opt.cache_dir +
                        (opt.resume ? ", resuming" : "") + ")")
                           .c_str());
-    if (pool)
-        std::printf("  shard pool: %u shards (BTBSIM_SHARDS), shared "
-                    "chunk cache\n",
-                    pool->shards());
     const exp::ExperimentResult res =
         exp::runExperiment(g_bench_slug, configs, ctx.suite, std::move(opt));
 
@@ -137,14 +129,6 @@ runAll(const Context &ctx, const std::vector<CpuConfig> &configs)
                 "%.2fs\n",
                 sum.total, sum.ok, sum.cached, sum.cacheHitRate() * 100.0,
                 sum.failed, sum.skipped, sum.retries, sum.wall_seconds);
-    if (pool && !res.shards.empty() && sum.wall_seconds > 0.0) {
-        std::printf("  shard utilization:");
-        for (std::size_t i = 0; i < res.shards.size(); ++i)
-            std::printf(" s%zu=%zupt/%.0f%%", i, res.shards[i].points,
-                        100.0 * res.shards[i].busy_seconds /
-                            sum.wall_seconds);
-        std::printf("\n");
-    }
     std::printf("\n");
 
     g_exp_counters = res.counters();

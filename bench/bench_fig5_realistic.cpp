@@ -38,7 +38,7 @@ main()
         "B-BTB 1BS comes close to realistic I-BTB (paper: 1.74 vs 1.79 "
         "geomean IPC) with the gap explained by redundancy and untracked "
         "branches (combined misfetch+mispredict 5.91 vs 0.84 MPKI, L1 hit "
-        "60.8%% vs 76.3%%); adding slots helps R-BTB up to 3BS then flattens, "
+        "60.8% vs 76.3%); adding slots helps R-BTB up to 3BS then flattens, "
         "while it *hurts* B-BTB (blocks start contending for entries).");
     return bench::finish();
 }

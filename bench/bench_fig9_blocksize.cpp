@@ -41,8 +41,8 @@ main()
         "Reach barely helps B-BTB 1BS Splt (16 -> 32 negligible) and plain "
         "B-BTB (blocks terminate at unconditional branches long before the "
         "limit); MB-BTB 2BS AllBr gains noticeably from 16 -> 32 (paper: "
-        "up to 6.3%%, 1.3%% geomean) then saturates; MB-BTB 3BS AllBr "
-        "benefits most (paper: 64-instruction blocks give +6.8%% geomean "
+        "up to 6.3%, 1.3% geomean) then saturates; MB-BTB 3BS AllBr "
+        "benefits most (paper: 64-instruction blocks give +6.8% geomean "
         "over 16).");
     return bench::finish();
 }

@@ -52,8 +52,8 @@ main()
     exportResults(rs, zero.btb.name());
 
     expectation(
-        "A 1-cycle taken-branch penalty costs around 1%% geomean IPC (paper: "
-        "0.8%%, up to 2.2%%) even though decoupling hides most bubbles — "
+        "A 1-cycle taken-branch penalty costs around 1% geomean IPC (paper: "
+        "0.8%, up to 2.2%) even though decoupling hides most bubbles — "
         "pipeline refills and high-IPC phases still feel them.");
     return 0;
 }

@@ -79,23 +79,9 @@ knobs()
         // traceio/trace_reader
         {"BTBSIM_REPLAY_MMAP", "1",
          "0 = buffered reads instead of mmap for .btbt replay."},
-        {"BTBSIM_REPLAY_ASYNC", "1",
-         "0 = disable background chunk decode for oversized traces."},
         {"BTBSIM_REPLAY_CACHE_MB", "256",
          "Decoded-chunk cache budget for replay; 0 streams "
          "chunk-at-a-time."},
-        {"BTBSIM_REPLAY_SHARED", "",
-         "1/0 forces the process-wide shared replay-chunk cache on/off; "
-         "empty follows the shard pool (on once BTBSIM_SHARDS creates "
-         "one)."},
-        // serve (shard pool + daemon)
-        {"BTBSIM_SHARDS", "0",
-         "Worker shards for sweeps: N > 0 routes bench/tool sweeps "
-         "through a persistent in-process shard pool sharing one "
-         "replay-chunk cache; 0 keeps per-sweep threads."},
-        {"BTBSIM_SERVE_SOCKET", "results/btbsim-serve.sock",
-         "Unix socket path of the btbsim-serve daemon (also the "
-         "btbsim-client default)."},
     };
     return table;
 }

@@ -219,16 +219,11 @@ Experiment::run()
                            .string();
     Journal journal(journal_path, opt_.resume);
 
-    // Worker-slot count: the executor's width when a pool is attached
-    // (a persistent pool ignores the per-sweep thread request), plain
-    // spawned threads otherwise. Per-slot utilization (points finished
-    // + host time spent) is reported as ExperimentResult::shards.
+    // Per-thread utilization (points finished + host time spent) is
+    // reported as ExperimentResult::shards.
     const unsigned n_threads =
-        opt_.executor
-            ? opt_.executor->width(
-                  resolveThreads(opt_.run.threads, result.points.size()))
-            : resolveThreads(opt_.run.threads, result.points.size());
-    result.shards.assign(std::max<unsigned>(n_threads, 1), ShardUtil{});
+        resolveThreads(opt_.run.threads, result.points.size());
+    result.shards.assign(n_threads, ShardUtil{});
 
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> failures{0};
@@ -317,7 +312,7 @@ Experiment::run()
     };
 
     auto worker = [&](unsigned slot) {
-        ShardUtil &util = result.shards[slot % result.shards.size()];
+        ShardUtil &util = result.shards[slot];
         for (;;) {
             const std::size_t i = next.fetch_add(1);
             if (i >= result.points.size())
@@ -396,16 +391,12 @@ Experiment::run()
         }
     };
 
-    if (opt_.executor) {
-        opt_.executor->run(worker);
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(n_threads);
-        for (unsigned t = 0; t < n_threads; ++t)
-            pool.emplace_back(worker, t);
-        for (auto &t : pool)
-            t.join();
-    }
+    std::vector<std::thread> pool;
+    pool.reserve(n_threads);
+    for (unsigned t = 0; t < n_threads; ++t)
+        pool.emplace_back(worker, t);
+    for (auto &t : pool)
+        t.join();
 
     ExperimentSummary &s = result.summary;
     s.total = result.points.size();

@@ -69,8 +69,8 @@ struct PointResult
     }
 };
 
-/** Per-worker-slot accounting of one sweep (a "shard" when the sweep
- *  runs on a serve::ShardPool; a plain worker thread otherwise). */
+/** Per-worker-thread accounting of one sweep (exported as the
+ *  "exp.shard<i>.*" counters). */
 struct ShardUtil
 {
     std::size_t points = 0;      ///< Points this slot finished.
@@ -108,7 +108,7 @@ struct ExperimentResult
 
     ExperimentSummary summary;
 
-    /** One entry per worker slot the sweep ran on (thread or shard). */
+    /** One entry per worker thread the sweep ran on. */
     std::vector<ShardUtil> shards;
 
     /** Flattened "exp.*" metrics (points, ok, cached, failed, skipped,
@@ -129,33 +129,10 @@ struct ExperimentResult
     std::vector<SimStats> stats() const;
 };
 
-/**
- * Abstract executor a sweep's workers run on. The default (no executor)
- * spawns one thread per worker slot and joins them; a persistent
- * implementation (serve::ShardPool) reuses its threads across sweeps.
- *
- * Contract: width(requested) reports how many slots run() will use;
- * run(worker) must invoke worker(slot) exactly once per slot in
- * [0, width), concurrently, and return only when every call has.
- * Workers pull points from the sweep's internal work queue until it is
- * drained, so any width completes the sweep.
- */
-class SweepExecutor
-{
-  public:
-    virtual ~SweepExecutor() = default;
-    virtual unsigned width(unsigned requested) const = 0;
-    virtual void run(const std::function<void(unsigned slot)> &worker) = 0;
-};
-
 /** Scheduling and policy knobs for one Experiment. */
 struct ExperimentOptions
 {
     RunOptions run;
-
-    /** External executor (non-owning; may outlive many sweeps). Null
-     *  spawns opt.run.threads plain threads per run() call. */
-    SweepExecutor *executor = nullptr;
 
     /** Run-cache directory; empty disables caching. */
     std::string cache_dir;

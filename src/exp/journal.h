@@ -2,9 +2,9 @@
  * @file
  * Durable, append-only sweep-completion journal (JSONL).
  *
- * One record per finished sweep point; the experiment engine and the
- * btbsim-serve daemon replay the journal (plus the run cache) to resume
- * an interrupted sweep without re-running completed points.
+ * One record per finished sweep point; the experiment engine replays
+ * the journal (plus the run cache) to resume an interrupted sweep
+ * without re-running completed points.
  *
  * Durability contract (the reason this is not an std::ofstream):
  *

@@ -3,8 +3,8 @@
  * Live sweep progress as a JSONL stream. When BTBSIM_PROGRESS_FD (an
  * inherited file descriptor number) or BTBSIM_PROGRESS_FILE (a path,
  * opened append) is set, the experiment engine emits one JSON object per
- * line as the sweep advances, so a supervising process — eventually the
- * btbsim-serve daemon — can render progress without scraping stdout:
+ * line as the sweep advances, so a supervising process can render
+ * progress without scraping stdout:
  *
  *   {"type":"sweep_start","sweep":"<name>","total":N,
  *    "cache":"<dir or ''>","threads":T}

@@ -73,14 +73,8 @@ TraceReplaySource::Options::fromEnv()
 {
     Options o;
     o.use_mmap = !env::disabled("BTBSIM_REPLAY_MMAP");
-    o.background_decode = !env::disabled("BTBSIM_REPLAY_ASYNC");
     if (env::isSet("BTBSIM_REPLAY_CACHE_MB"))
         o.cache_budget_bytes = env::u64("BTBSIM_REPLAY_CACHE_MB", 0) << 20;
-    const bool shared = env::isSet("BTBSIM_REPLAY_SHARED")
-                            ? env::flag("BTBSIM_REPLAY_SHARED")
-                            : SharedChunkCache::processDefault();
-    if (shared)
-        o.shared_cache = &SharedChunkCache::instance();
     return o;
 }
 
@@ -128,10 +122,10 @@ TraceReplaySource::TraceReplaySource(const std::string &path, Options opt)
                          "header instruction count");
     if (header_.inst_count == 0)
         throw TraceError(path + ": trace holds no instructions");
-    crc_checked_ = std::make_unique<std::atomic<bool>[]>(chunks_.size());
+    crc_checked_.assign(chunks_.size(), false);
 
     // The wrap seam lives in the last non-empty chunk; its tail gets
-    // rewritten, so that chunk always stays a private buffer.
+    // rewritten on install.
     seam_chunk_ = chunks_.size() - 1;
     while (seam_chunk_ > 0 && chunks_[seam_chunk_].records == 0)
         --seam_chunk_;
@@ -144,50 +138,22 @@ TraceReplaySource::TraceReplaySource(const std::string &path, Options opt)
     if (cached_mode_) {
         cache_.resize(chunks_.size());
         cache_valid_.assign(chunks_.size(), false);
-        // Cross-source sharing: non-seam chunks come from the process
-        // cache so K sources replaying one file decode each chunk once.
-        if (opt.shared_cache) {
-            file_key_ = SharedChunkCache::fileKey(path_);
-            if (!file_key_.empty()) {
-                shared_ = opt.shared_cache;
-                shared_slots_.resize(chunks_.size());
-            }
-        }
     }
-
-    // Streaming fallback for oversized traces. A single chunk replays
-    // from one resident buffer; a worker would only re-decode it.
-    async_ = !cached_mode_ && opt.background_decode && chunks_.size() > 1;
-    if (async_)
-        worker_ = std::thread([this] { workerLoop(); });
 
     reset();
 }
 
-TraceReplaySource::~TraceReplaySource()
-{
-    if (worker_.joinable()) {
-        {
-            std::lock_guard<std::mutex> lk(m_);
-            stop_ = true;
-        }
-        cv_work_.notify_one();
-        worker_.join();
-    }
-}
-
 void
-TraceReplaySource::decodeChunk(std::size_t idx,
-                               std::vector<Instruction> &out) const
+TraceReplaySource::decodeChunk(std::size_t idx, std::vector<Instruction> &out)
 {
     obs::ObsSpan span("replay_decode");
     const Chunk &c = chunks_[idx];
     const std::uint8_t *payload = map_.data() + c.payload_offset;
-    if (!crc_checked_[idx].load(std::memory_order_relaxed)) {
+    if (!crc_checked_[idx]) {
         if (crc32(payload, c.payload_bytes) != c.crc)
             throw TraceError(path_ + ": payload CRC mismatch (chunk " +
                              std::to_string(idx) + ")");
-        crc_checked_[idx].store(true, std::memory_order_relaxed);
+        crc_checked_[idx] = true;
     }
     // Avoid resize()'s value-initialization when the buffer is reused at
     // the same size (every full chunk): decode overwrites each element.
@@ -206,14 +172,6 @@ TraceReplaySource::decodeChunk(std::size_t idx,
 const std::vector<Instruction> &
 TraceReplaySource::chunkBuffer(std::size_t idx)
 {
-    if (shared_ && idx != seam_chunk_) {
-        if (!shared_slots_[idx])
-            shared_slots_[idx] = shared_->get(
-                file_key_, idx, [this, idx](std::vector<Instruction> &out) {
-                    decodeChunk(idx, out);
-                });
-        return *shared_slots_[idx];
-    }
     if (!cache_valid_[idx]) {
         decodeChunk(idx, cache_[idx]);
         cache_valid_[idx] = true;
@@ -237,8 +195,6 @@ TraceReplaySource::installFront(std::size_t idx)
     // instruction's next_pc matches the following pc, so the recorded
     // tail is rewritten into a jump back to the recorded head. The
     // rewrite is idempotent, so re-installing a cached chunk is fine.
-    // The seam chunk is never shared across sources (chunkBuffer), so
-    // this write cannot race another replay of the same file.
     if (idx == seam_chunk_) {
         std::vector<Instruction> &buf =
             cached_mode_ ? cache_[idx] : stream_buf_;
@@ -254,17 +210,6 @@ TraceReplaySource::installFront(std::size_t idx)
 }
 
 void
-TraceReplaySource::requestDecode(std::size_t idx)
-{
-    {
-        std::lock_guard<std::mutex> lk(m_);
-        want_chunk_ = idx;
-        has_work_ = true;
-    }
-    cv_work_.notify_one();
-}
-
-void
 TraceReplaySource::advance()
 {
     // Skip empty chunks, but never loop forever on an all-empty file
@@ -277,17 +222,6 @@ TraceReplaySource::advance()
         }
         if (cached_mode_) {
             cur_ = &chunkBuffer(idx);
-        } else if (async_) {
-            {
-                std::unique_lock<std::mutex> lk(m_);
-                cv_done_.wait(lk, [this] { return back_ready_; });
-                if (!error_.empty())
-                    throw TraceError(error_);
-                stream_buf_.swap(back_);
-                back_ready_ = false;
-            }
-            cur_ = &stream_buf_;
-            requestDecode(idx + 1 == chunks_.size() ? 0 : idx + 1);
         } else {
             decodeChunk(idx, stream_buf_);
             cur_ = &stream_buf_;
@@ -310,13 +244,6 @@ TraceReplaySource::next()
 void
 TraceReplaySource::reset()
 {
-    if (async_) {
-        std::lock_guard<std::mutex> lk(m_);
-        ++gen_; // Voids any in-flight decode of the old position.
-        has_work_ = false;
-        back_ready_ = false;
-        error_.clear();
-    }
     wraps_ = 0;
     if (cached_mode_) {
         cur_ = &chunkBuffer(0);
@@ -325,44 +252,8 @@ TraceReplaySource::reset()
         cur_ = &stream_buf_;
     }
     installFront(0);
-    if (async_)
-        requestDecode(chunks_.size() > 1 ? 1 : 0);
     while (cur_->empty())
         advance();
-}
-
-void
-TraceReplaySource::workerLoop()
-{
-    // Persistent scratch: swapped with back_ on publish, so the three
-    // buffers (front, back, scratch) rotate with stable capacity and
-    // full-chunk decodes never reallocate or re-initialize.
-    std::vector<Instruction> tmp;
-    std::unique_lock<std::mutex> lk(m_);
-    for (;;) {
-        cv_work_.wait(lk, [this] { return has_work_ || stop_; });
-        if (stop_)
-            return;
-        const std::size_t idx = want_chunk_;
-        const std::uint64_t gen = gen_;
-        has_work_ = false;
-        lk.unlock();
-
-        std::string err;
-        try {
-            decodeChunk(idx, tmp);
-        } catch (const TraceError &e) {
-            err = e.what();
-        }
-
-        lk.lock();
-        if (gen == gen_) {
-            back_.swap(tmp);
-            error_ = std::move(err);
-            back_ready_ = true;
-            cv_done_.notify_one();
-        }
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -7,18 +7,13 @@
 #ifndef BTBSIM_TRACEIO_TRACE_READER_H
 #define BTBSIM_TRACEIO_TRACE_READER_H
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "trace/program.h"
 #include "trace/trace_source.h"
-#include "traceio/chunk_cache.h"
 #include "traceio/format.h"
 
 namespace btbsim::traceio {
@@ -55,10 +50,9 @@ class MappedFile
  * decoded at most once per chunk and delivered straight from the cached
  * buffers afterwards — wraps and resets cost nothing but a pointer
  * move, which is what makes replay delivery much faster than live
- * generation. Larger traces stream through a double buffer instead;
- * with background decode enabled a worker thread keeps the next chunk
- * ready while the simulator consumes the current one. Delivery is
- * deterministic in every mode.
+ * generation. Larger traces stream instead: each chunk is decoded
+ * synchronously into one reused buffer when the cursor reaches it.
+ * Delivery is deterministic in both modes.
  *
  * When the consumer outruns the recording the stream wraps to the first
  * chunk; if the recorded tail does not already jump to the recorded
@@ -68,7 +62,7 @@ class MappedFile
  * live source therefore need a recording at least as long as the
  * instructions they consume.
  *
- * Instances are self-contained (own mapping, buffers and worker), so
+ * Instances are self-contained (own mapping and buffers), so
  * concurrent runMatrix workers must each construct their own — sharing
  * one instance across threads is a data race by design (next() mutates
  * cursor state; no lock serializes callers).
@@ -79,28 +73,17 @@ class TraceReplaySource : public TraceSource
     struct Options
     {
         bool use_mmap = true;
-        bool background_decode = true;
         /** Decoded-chunk cache limit in bytes; 0 forces streaming. */
         std::uint64_t cache_budget_bytes = 256ull << 20;
 
-        /** Process-wide decoded-chunk cache to share with other sources
-         *  replaying the same file (chunk_cache.h); null keeps every
-         *  buffer private. Only effective in cached mode; the seam
-         *  chunk stays private regardless (its tail is rewritten). */
-        SharedChunkCache *shared_cache = nullptr;
-
-        /** BTBSIM_REPLAY_MMAP=0 / BTBSIM_REPLAY_ASYNC=0 disable the
-         *  respective fast path; BTBSIM_REPLAY_CACHE_MB resizes the
-         *  decoded-chunk cache; BTBSIM_REPLAY_SHARED attaches the
-         *  process-wide SharedChunkCache ("1"/"0" forces, unset follows
-         *  SharedChunkCache::processDefault()). */
+        /** BTBSIM_REPLAY_MMAP=0 falls back to a buffered read;
+         *  BTBSIM_REPLAY_CACHE_MB resizes the decoded-chunk cache. */
         static Options fromEnv();
     };
 
     /** Opens and validates @p path; throws TraceError on any problem. */
     explicit TraceReplaySource(const std::string &path,
                                Options opt = Options::fromEnv());
-    ~TraceReplaySource() override;
 
     const Instruction &next() override;
     void reset() override;
@@ -131,12 +114,12 @@ class TraceReplaySource : public TraceSource
     std::unique_ptr<Program> program_;
     /// The mapping is immutable, so each chunk's CRC is verified only
     /// on its first decode (wraps and resets then skip the scan).
-    std::unique_ptr<std::atomic<bool>[]> crc_checked_;
+    std::vector<bool> crc_checked_;
 
     // Consumer-side cursor. cur_ points at the buffer being delivered:
-    // a cache_ slot or shared-cache buffer in cached mode, stream_buf_
-    // in streaming mode. Read-only: the only mutation (the wrap-seam
-    // rewrite) goes through the always-private seam-chunk buffer.
+    // a cache_ slot in cached mode, stream_buf_ in streaming mode.
+    // Read-only: the only mutation (the wrap-seam rewrite) goes through
+    // the seam chunk's buffer.
     const std::vector<Instruction> *cur_ = nullptr;
     std::size_t pos_ = 0;
     std::size_t cur_chunk_ = 0; ///< Chunk index cur_ holds.
@@ -150,34 +133,13 @@ class TraceReplaySource : public TraceSource
     std::vector<std::vector<Instruction>> cache_;
     std::vector<bool> cache_valid_;
 
-    // Cross-source chunk sharing (cached mode; see chunk_cache.h).
-    SharedChunkCache *shared_ = nullptr;
-    std::string file_key_;
-    std::vector<SharedChunkCache::Buffer> shared_slots_;
-
-    // Streaming double buffer (oversized traces).
+    // Streaming buffer (oversized traces).
     std::vector<Instruction> stream_buf_;
 
-    // Background decode (double buffering).
-    bool async_ = false;
-    std::thread worker_;
-    std::mutex m_;
-    std::condition_variable cv_work_;
-    std::condition_variable cv_done_;
-    std::uint64_t gen_ = 0;       ///< Bumped by reset() to void stale work.
-    std::size_t want_chunk_ = 0;  ///< Chunk the worker should decode.
-    bool has_work_ = false;
-    std::vector<Instruction> back_;
-    bool back_ready_ = false;
-    std::string error_;
-    bool stop_ = false;
-
-    void decodeChunk(std::size_t idx, std::vector<Instruction> &out) const;
+    void decodeChunk(std::size_t idx, std::vector<Instruction> &out);
     const std::vector<Instruction> &chunkBuffer(std::size_t idx);
     void installFront(std::size_t idx);
-    void requestDecode(std::size_t idx);
     void advance();
-    void workerLoop();
 };
 
 /** Integrity record of one chunk, as reported by inspectTrace(). */

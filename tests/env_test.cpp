@@ -45,7 +45,7 @@ TEST(Env, EveryDocumentedKnobIsRegistered)
           "BTBSIM_HOST_COUNTERS", "BTBSIM_PROGRESS_FD",
           "BTBSIM_PROGRESS_FILE", "BTBSIM_TRACE", "BTBSIM_TRACE_CAP",
           "BTBSIM_TRACE_DIR", "BTBSIM_JSON_OUT", "BTBSIM_CSV_OUT",
-          "BTBSIM_REPLAY_SHARED", "BTBSIM_SHARDS", "BTBSIM_SERVE_SOCKET"})
+          "BTBSIM_REPLAY_MMAP", "BTBSIM_REPLAY_CACHE_MB"})
         EXPECT_TRUE(env::isKnown(name)) << name;
 }
 

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <stdexcept>
 
 #include "env_util.h"
@@ -60,6 +63,19 @@ baseOptions(const std::string &cache_dir)
     o.backoff_ms = 1; // Keep retry tests fast.
     o.simulate = fakeSim;
     return o;
+}
+
+/** statsToJson() of @p s without the host-side measurements (wall
+ *  time, sim speed, span profile), which differ run to run. */
+std::string
+simulatedJson(SimStats s)
+{
+    s.host_seconds = 0.0;
+    s.minst_per_host_sec = 0.0;
+    s.span_profile = {};
+    s.host_counters_available = false;
+    s.source_minst_per_sec = 0.0;
+    return exp::statsToJson(s);
 }
 
 std::string
@@ -265,6 +281,93 @@ TEST(Experiment, JournalRecordsEveryPoint)
     }
     EXPECT_EQ(lines, 6u);
     std::filesystem::remove_all(dir);
+}
+
+TEST(Experiment, WorkerThreadsAreAccountedPerSlot)
+{
+    // Real (tiny) simulations, so each point spends measurable host time
+    // and the cross-thread-count comparison covers the simulator too.
+    std::vector<WorkloadSpec> wls = threeWorkloads();
+    for (WorkloadSpec &w : wls)
+        w.params.target_static_insts = 8 * 1024;
+    auto sweep = [&](unsigned threads) {
+        // Each of the first `threads` points waits until that many are
+        // in flight, so every worker thread finishes at least one point
+        // (the wait gives up after 10 s rather than hang the suite).
+        std::mutex mu;
+        std::condition_variable cv;
+        unsigned arrived = 0;
+        exp::ExperimentOptions o;
+        o.run.warmup = 2000;
+        o.run.measure = 6000;
+        o.run.threads = threads;
+        o.simulate = [&](const CpuConfig &c, const WorkloadSpec &w,
+                         const RunOptions &run) {
+            {
+                std::unique_lock<std::mutex> lk(mu);
+                ++arrived;
+                cv.notify_all();
+                cv.wait_for(lk, std::chrono::seconds(10),
+                            [&] { return arrived >= threads; });
+            }
+            return runOne(c, w, run);
+        };
+        return exp::runExperiment("t-slots", twoConfigs(), wls,
+                                  std::move(o));
+    };
+    const auto one = sweep(1);
+    const auto four = sweep(4);
+    ASSERT_TRUE(one.allOk());
+    ASSERT_TRUE(four.allOk());
+
+    // One accounting slot per resolved worker thread; the slots' point
+    // counts sum to the sweep and the host time they report is real.
+    ASSERT_EQ(one.shards.size(), 1u);
+    ASSERT_EQ(four.shards.size(), 4u);
+    for (const auto *r : {&one, &four}) {
+        std::size_t points = 0;
+        double busy = 0.0;
+        for (const exp::ShardUtil &u : r->shards) {
+            points += u.points;
+            busy += u.busy_seconds;
+            EXPECT_GT(u.points, 0u);
+            EXPECT_GT(u.busy_seconds, 0.0);
+        }
+        EXPECT_EQ(points, r->points.size());
+        EXPECT_GT(busy, 0.0);
+
+        const auto counters = r->counters();
+        EXPECT_EQ(counters.at("exp.shards"),
+                  static_cast<double>(r->shards.size()));
+        for (std::size_t i = 0; i < r->shards.size(); ++i) {
+            const std::string prefix = "exp.shard" + std::to_string(i);
+            EXPECT_EQ(counters.at(prefix + ".points"),
+                      static_cast<double>(r->shards[i].points));
+            EXPECT_EQ(counters.at(prefix + ".busy_seconds"),
+                      r->shards[i].busy_seconds);
+            EXPECT_TRUE(counters.count(prefix + ".util")) << prefix;
+        }
+    }
+
+    // The thread count changes scheduling only, never a simulated
+    // statistic.
+    ASSERT_EQ(four.points.size(), one.points.size());
+    for (std::size_t i = 0; i < one.points.size(); ++i) {
+        EXPECT_EQ(four.points[i].digest, one.points[i].digest);
+        EXPECT_EQ(simulatedJson(four.points[i].stats),
+                  simulatedJson(one.points[i].stats))
+            << one.points[i].config << " / " << one.points[i].workload;
+    }
+}
+
+TEST(Experiment, WorkerThreadsAreCappedAtThePointCount)
+{
+    auto opt = baseOptions("");
+    opt.run.threads = 16;
+    const auto r = exp::runExperiment("t-cap", twoConfigs(),
+                                      threeWorkloads(), std::move(opt));
+    EXPECT_TRUE(r.allOk());
+    EXPECT_EQ(r.shards.size(), 6u);
 }
 
 TEST(Experiment, EnvOptions)

@@ -329,44 +329,44 @@ TEST(TraceRoundTrip, WriterReaderAllFields)
     // Odd chunk size forces several chunks plus a short tail.
     const std::string path = writeSample("rt_fields.btbt", insts, 171);
 
-    // Cover the decode-once cache, the synchronous streaming path and
-    // the double-buffered background decoder, with and without mmap.
-    const struct
-    {
-        bool mmap;
-        bool async;
-        std::uint64_t cache;
-    } modes[] = {
-        {true, true, 256ull << 20},
-        {false, false, 256ull << 20},
-        {true, false, 0},
-        {true, true, 0},
-        {false, true, 0},
-    };
-    for (const auto &mode : modes) {
-        {
+    // Cover the decode-once cache and the chunk-at-a-time streaming
+    // path, each with and without mmap, across a wrap and a reset().
+    for (const bool mmap : {true, false}) {
+        for (const std::uint64_t cache : {256ull << 20, 0ull}) {
+            SCOPED_TRACE(std::string(mmap ? "mmap" : "buffered") + "/" +
+                         (cache ? "cached" : "streaming"));
             TraceReplaySource::Options opt;
-            opt.use_mmap = mode.mmap;
-            opt.background_decode = mode.async;
-            opt.cache_budget_bytes = mode.cache;
+            opt.use_mmap = mmap;
+            opt.cache_budget_bytes = cache;
             TraceReplaySource src(path, opt);
             EXPECT_EQ(src.instructionCount(), insts.size());
             EXPECT_EQ(src.name(), "rt_fields.btbt");
             EXPECT_EQ(src.codeImage(), nullptr);
-            // All but the final instruction round-trip exactly; the
-            // tail is pre-patched into the wrap-seam jump (pc and
-            // registers survive, control flow redirects to the head).
-            for (std::size_t i = 0; i + 1 < insts.size(); ++i)
-                expectSameInstruction(insts[i], src.next(), i);
-            const Instruction &tail = src.next();
-            EXPECT_EQ(tail.pc, insts.back().pc);
-            EXPECT_EQ(tail.dst, insts.back().dst);
-            EXPECT_EQ(tail.src1, insts.back().src1);
-            EXPECT_EQ(tail.src2, insts.back().src2);
-            EXPECT_EQ(tail.next_pc, insts.front().pc);
-            EXPECT_EQ(tail.branch, BranchClass::kUncondDirect);
-            EXPECT_TRUE(tail.taken);
-            EXPECT_EQ(src.wraps(), 0u);
+            // Lap 1 starts with a wrap; lap 2 follows a reset() taken
+            // mid-stream. Each lap delivers the recording.
+            for (int lap = 0; lap < 3; ++lap) {
+                if (lap == 2) {
+                    for (int k = 0; k < 37; ++k)
+                        src.next();
+                    src.reset();
+                    EXPECT_EQ(src.wraps(), 0u);
+                }
+                // All but the final instruction round-trip exactly; the
+                // tail is pre-patched into the wrap-seam jump (pc and
+                // registers survive, control flow redirects to the
+                // head).
+                for (std::size_t i = 0; i + 1 < insts.size(); ++i)
+                    expectSameInstruction(insts[i], src.next(), i);
+                const Instruction &tail = src.next();
+                EXPECT_EQ(tail.pc, insts.back().pc);
+                EXPECT_EQ(tail.dst, insts.back().dst);
+                EXPECT_EQ(tail.src1, insts.back().src1);
+                EXPECT_EQ(tail.src2, insts.back().src2);
+                EXPECT_EQ(tail.next_pc, insts.front().pc);
+                EXPECT_EQ(tail.branch, BranchClass::kUncondDirect);
+                EXPECT_TRUE(tail.taken);
+                EXPECT_EQ(src.wraps(), lap == 1 ? 1u : 0u);
+            }
         }
     }
     std::remove(path.c_str());
@@ -582,20 +582,26 @@ TEST(TraceNegative, ZeroLengthChunksAreSkipped)
     writeFile(path, f);
     EXPECT_TRUE(verifyTrace(path).empty());
 
-    for (const bool async : {true, false}) {
+    for (const bool mmap : {true, false}) {
         for (const std::uint64_t cache : {256ull << 20, 0ull}) {
+            SCOPED_TRACE(std::string(mmap ? "mmap" : "buffered") + "/" +
+                         (cache ? "cached" : "streaming"));
             TraceReplaySource::Options opt;
-            opt.background_decode = async;
+            opt.use_mmap = mmap;
             opt.cache_budget_bytes = cache;
             TraceReplaySource src(path, opt);
-            // Two full laps across the empty chunk.
-            for (int lap = 0; lap < 2; ++lap)
+            // Two full laps across the empty chunk, then one more after
+            // a reset().
+            for (int lap = 0; lap < 3; ++lap) {
+                if (lap == 2)
+                    src.reset();
                 for (std::size_t i = 0; i < insts.size(); ++i) {
                     const Instruction &got = src.next();
                     EXPECT_EQ(got.pc, insts[i].pc)
                         << "lap " << lap << " i " << i;
                 }
-            EXPECT_EQ(src.wraps(), 1u);
+                EXPECT_EQ(src.wraps(), lap == 1 ? 1u : 0u);
+            }
         }
     }
     std::remove(path.c_str());
