@@ -91,9 +91,6 @@ runAll(const Context &ctx, const std::vector<CpuConfig> &configs)
           case exp::PointStatus::kFailed:
             c = 'F';
             break;
-          case exp::PointStatus::kSkipped:
-            c = 's';
-            break;
           default:
             break;
         }
@@ -125,10 +122,9 @@ runAll(const Context &ctx, const std::vector<CpuConfig> &configs)
 
     const exp::ExperimentSummary &sum = res.summary;
     std::printf("  experiment: %zu points — %zu simulated, %zu cached "
-                "(%.1f%% hits), %zu failed, %zu skipped, %zu retries, "
-                "%.2fs\n",
+                "(%.1f%% hits), %zu failed, %zu retries, %.2fs\n",
                 sum.total, sum.ok, sum.cached, sum.cacheHitRate() * 100.0,
-                sum.failed, sum.skipped, sum.retries, sum.wall_seconds);
+                sum.failed, sum.retries, sum.wall_seconds);
     std::printf("\n");
 
     g_exp_counters = res.counters();

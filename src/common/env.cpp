@@ -1,6 +1,9 @@
 #include "common/env.h"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
+#include <stdexcept>
 
 namespace btbsim::env {
 
@@ -15,28 +18,15 @@ knobs()
         {"BTBSIM_TRACES", "6", "Workloads taken from the server suite."},
         {"BTBSIM_THREADS", "0",
          "Worker threads for sweeps (0 = hardware concurrency)."},
-        // core/soa_table + core/way_pred (probe path)
-        {"BTBSIM_SIMD", "auto",
-         "Probe kernel for the SoA set tables: auto (widest supported), "
-         "scalar, sse, avx2; unsupported choices fall back to scalar."},
-        {"BTBSIM_WAYPRED", "off",
-         "Way prediction for the simulated BTB levels: off, utag "
-         "(hashed-tag candidate filter), mru (last-used way first); "
-         "counters appear under btb.waypred.*."},
         // exp/experiment
         {"BTBSIM_RUN_CACHE", "results/cache",
          "Content-addressed run-result store; a path, or 0 to disable."},
         {"BTBSIM_RESUME", "0",
          "Resume an interrupted sweep from its journal (non-0 enables)."},
-        {"BTBSIM_RETRIES", "2",
-         "Extra attempts for a failed sweep point (bounded backoff)."},
-        {"BTBSIM_MAX_FAILURES", "0",
-         "Abort scheduling after this many failed points (0 = no limit; "
-         "remaining points report status skipped)."},
         // obs/sampler
         {"BTBSIM_SAMPLE_INTERVAL", "100000",
          "Cycles per time-series sample; 0 disables sampling."},
-        // obs/span + obs/host_counters + obs/progress
+        // obs/span + obs/host_counters
         {"BTBSIM_SPANS", "1",
          "0 disables the host-time span profiler (on by default; span "
          "sites are phase-grained, not per-instruction)."},
@@ -50,12 +40,6 @@ knobs()
         {"BTBSIM_HOST_COUNTERS", "1",
          "0 skips perf_event_open so span profiles carry timestamps "
          "only (auto-fallback when the kernel denies perf access)."},
-        {"BTBSIM_PROGRESS_FD", "",
-         "File descriptor number for the JSONL sweep-progress stream; "
-         "empty disables."},
-        {"BTBSIM_PROGRESS_FILE", "",
-         "Append-mode file for the JSONL sweep-progress stream "
-         "(BTBSIM_PROGRESS_FD wins when both are set)."},
         // obs/tracer + sim/runner trace dump; also the .btbt replay dir
         {"BTBSIM_TRACE", "0", "Non-0 enables the pipeline event tracer."},
         {"BTBSIM_TRACE_CAP", "65536",
@@ -115,7 +99,20 @@ u64(const char *name, std::uint64_t fallback)
     const char *v = std::getenv(name);
     if (!v || !*v)
         return fallback;
-    return std::strtoull(v, nullptr, 10);
+    // Decimal digits only: strtoull would read "1e6" as 1, "abc" as 0
+    // and "-1" as 2^64-1 without a word.
+    const char *end = v + std::strlen(v);
+    std::uint64_t n = 0;
+    const auto [stop, ec] = std::from_chars(v, end, n);
+    if (ec == std::errc::result_out_of_range)
+        throw std::invalid_argument(std::string(name) + "=" + v +
+                                    ": out of range for an unsigned "
+                                    "64-bit value");
+    if (ec != std::errc{} || stop != end)
+        throw std::invalid_argument(std::string(name) + "=" + v +
+                                    ": expected an unsigned decimal "
+                                    "integer");
+    return n;
 }
 
 bool

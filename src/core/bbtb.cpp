@@ -8,7 +8,7 @@
 namespace btbsim {
 
 BlockBtb::BlockBtb(const BtbConfig &cfg)
-    : cfg_(cfg), table_(cfg, log2i(kInstBytes), &stats)
+    : cfg_(cfg), table_(cfg, log2i(kInstBytes))
 {}
 
 std::uint32_t

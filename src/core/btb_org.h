@@ -152,15 +152,12 @@ class TwoLevelTable
   public:
     using Table = SoaSetTable<Entry>;
 
-    /** @p waypred_stats, when non-null, attaches the BTBSIM_WAYPRED way
-     *  predictor to both levels with counters under waypred.l{1,2}.*. */
-    TwoLevelTable(const BtbConfig &cfg, unsigned index_shift,
-                  StatSet *waypred_stats = nullptr)
+    TwoLevelTable(const BtbConfig &cfg, unsigned index_shift)
         : ideal_(cfg.ideal),
           l1_(cfg.ideal ? 16384 : cfg.l1.sets, cfg.ideal ? 32 : cfg.l1.ways,
-              index_shift, WayPredSink{waypred_stats, "waypred.l1."}),
+              index_shift),
           l2_(cfg.ideal ? 1 : cfg.l2.sets, cfg.ideal ? 1 : cfg.l2.ways,
-              index_shift, WayPredSink{waypred_stats, "waypred.l2."})
+              index_shift)
     {}
 
     /**

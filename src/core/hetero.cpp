@@ -8,9 +8,9 @@ namespace btbsim {
 HeteroBtb::HeteroBtb(const BtbConfig &cfg)
     : cfg_(cfg),
       l1_(cfg.ideal ? 16384 : cfg.l1.sets, cfg.ideal ? 32 : cfg.l1.ways,
-          log2i(kInstBytes), WayPredSink{&stats, "waypred.l1."}),
+          log2i(kInstBytes)),
       l2_(cfg.ideal ? 1 : cfg.l2.sets, cfg.ideal ? 1 : cfg.l2.ways,
-          log2i(cfg.region_bytes), WayPredSink{&stats, "waypred.l2."})
+          log2i(cfg.region_bytes))
 {}
 
 std::uint32_t

@@ -152,7 +152,7 @@ class ShadowL1
 } // namespace
 
 InstructionBtb::InstructionBtb(const BtbConfig &cfg)
-    : cfg_(cfg), table_(cfg, log2i(kInstBytes), &stats)
+    : cfg_(cfg), table_(cfg, log2i(kInstBytes))
 {}
 
 /**

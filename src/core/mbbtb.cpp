@@ -10,7 +10,7 @@
 namespace btbsim {
 
 MultiBlockBtb::MultiBlockBtb(const BtbConfig &cfg)
-    : cfg_(cfg), table_(cfg, log2i(kInstBytes), &stats)
+    : cfg_(cfg), table_(cfg, log2i(kInstBytes))
 {}
 
 MultiBlockBtb::Entry

@@ -1,16 +1,14 @@
 /**
  * @file
- * SIMD probe kernels and kernel selection for SoaSetTable.
+ * The AVX2 probe kernel for SoaSetTable and the once-per-process check
+ * that selects it.
  *
- * The SSE4.1/AVX2 bodies are compiled with function-level target
- * attributes so the translation unit builds on any x86-64 baseline;
- * resolveSimd() only hands out a kernel the host actually supports
- * (checked with __builtin_cpu_supports), clamped by BTBSIM_SIMD.
+ * The AVX2 body is compiled with a function-level target attribute so
+ * the translation unit builds on any x86-64 baseline; it only runs when
+ * __builtin_cpu_supports reports AVX2.
  */
 
 #include "core/soa_table.h"
-
-#include "common/env.h"
 
 #if defined(__x86_64__) || defined(_M_X64)
 #include <immintrin.h>
@@ -19,27 +17,9 @@
 #define BTBSIM_X86 0
 #endif
 
-namespace btbsim {
-
-namespace detail {
+namespace btbsim::detail {
 
 #if BTBSIM_X86
-
-__attribute__((target("sse4.1"))) std::uint32_t
-eqMaskSse(const std::uint64_t *tags, unsigned lanes, std::uint64_t key)
-{
-    const __m128i k = _mm_set1_epi64x(static_cast<long long>(key));
-    std::uint32_t m = 0;
-    for (unsigned w = 0; w < lanes; w += 2) {
-        const __m128i t =
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(tags + w));
-        const __m128i eq = _mm_cmpeq_epi64(t, k);
-        m |= static_cast<std::uint32_t>(
-                 _mm_movemask_pd(_mm_castsi128_pd(eq)))
-             << w;
-    }
-    return m;
-}
 
 __attribute__((target("avx2"))) std::uint32_t
 eqMaskAvx2(const std::uint64_t *tags, unsigned lanes, std::uint64_t key)
@@ -57,13 +37,21 @@ eqMaskAvx2(const std::uint64_t *tags, unsigned lanes, std::uint64_t key)
     return m;
 }
 
-#else // !BTBSIM_X86 — never selected by resolveSimd(); keep linkable.
+namespace {
 
-std::uint32_t
-eqMaskSse(const std::uint64_t *tags, unsigned lanes, std::uint64_t key)
+bool
+hostHasAvx2()
 {
-    return eqMaskScalar(tags, lanes, key);
+    // Static initializers may run before the CPU model is filled in.
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2");
 }
+
+} // namespace
+
+extern const bool host_has_avx2 = hostHasAvx2();
+
+#else // !BTBSIM_X86 — never selected; keep linkable.
 
 std::uint32_t
 eqMaskAvx2(const std::uint64_t *tags, unsigned lanes, std::uint64_t key)
@@ -71,65 +59,8 @@ eqMaskAvx2(const std::uint64_t *tags, unsigned lanes, std::uint64_t key)
     return eqMaskScalar(tags, lanes, key);
 }
 
+extern const bool host_has_avx2 = false;
+
 #endif // BTBSIM_X86
 
-} // namespace detail
-
-namespace {
-
-bool
-hostSupports(SimdKind kind)
-{
-#if BTBSIM_X86
-    switch (kind) {
-    case SimdKind::kScalar:
-        return true;
-    case SimdKind::kSse:
-        return __builtin_cpu_supports("sse4.1");
-    case SimdKind::kAvx2:
-        return __builtin_cpu_supports("avx2");
-    }
-#else
-    if (kind == SimdKind::kScalar)
-        return true;
-#endif
-    return false;
-}
-
-} // namespace
-
-SimdKind
-resolveSimd()
-{
-    const std::string v = env::str("BTBSIM_SIMD", "auto");
-    if (v == "scalar")
-        return SimdKind::kScalar;
-    if (v == "sse")
-        return hostSupports(SimdKind::kSse) ? SimdKind::kSse
-                                            : SimdKind::kScalar;
-    if (v == "avx2")
-        return hostSupports(SimdKind::kAvx2) ? SimdKind::kAvx2
-                                             : SimdKind::kScalar;
-    // auto: widest supported kernel.
-    if (hostSupports(SimdKind::kAvx2))
-        return SimdKind::kAvx2;
-    if (hostSupports(SimdKind::kSse))
-        return SimdKind::kSse;
-    return SimdKind::kScalar;
-}
-
-const char *
-simdKindName(SimdKind kind)
-{
-    switch (kind) {
-    case SimdKind::kSse:
-        return "sse";
-    case SimdKind::kAvx2:
-        return "avx2";
-    case SimdKind::kScalar:
-        break;
-    }
-    return "scalar";
-}
-
-} // namespace btbsim
+} // namespace btbsim::detail

@@ -10,11 +10,12 @@
  * LRU-stamp array. Payloads live in their own dense array so a probe
  * never drags entry bytes through the cache.
  *
- * A probe is a branchless word-compare over the whole set: portable
- * SWAR by default, SSE4.1/AVX2 kernels under runtime feature detection
- * (BTBSIM_SIMD selects; see resolveSimd()). Probing never touches LRU —
- * recency is advanced only by the explicit touch()/fill() mutators on
- * SetView, so lookup side effects are in the caller's hands.
+ * A probe is a branchless word-compare over the whole set: an AVX2
+ * kernel when the host supports it, else portable SWAR (the reference;
+ * both give the same masks). The choice is made once per process.
+ * Probing never touches LRU — recency is advanced only by the explicit
+ * touch()/fill() mutators on SetView, so lookup side effects are in the
+ * caller's hands.
  *
  * Replacement contract (bit-compatible with the old table): victim() is
  * the lowest-index invalid way if any, else the way with the strictly
@@ -27,37 +28,26 @@
 #define BTBSIM_CORE_SOA_TABLE_H
 
 #include <bit>
-#include <cassert>
 #include <cstdint>
-#include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/types.h"
-#include "core/way_pred.h"
 
 namespace btbsim {
 
-/** Probe kernel flavor; resolved once per table construction. */
-enum class SimdKind : std::uint8_t { kScalar, kSse, kAvx2 };
-
-/**
- * Pick the probe kernel from BTBSIM_SIMD (auto/scalar/sse/avx2) clamped
- * to what the host CPU supports; "auto" takes the widest available.
- */
-SimdKind resolveSimd();
-
-/** Human-readable kernel name ("scalar"/"sse"/"avx2"). */
-const char *simdKindName(SimdKind kind);
-
 namespace detail {
 
-/** SSE4.1 tag compare; @p lanes must be a multiple of 2. */
-std::uint32_t eqMaskSse(const std::uint64_t *tags, unsigned lanes,
-                        std::uint64_t key);
-
-/** AVX2 tag compare; @p lanes must be a multiple of 4. */
+/** AVX2 tag compare; @p lanes must be a multiple of 4. Runs only when
+ *  host_has_avx2 (a non-x86 build links a scalar stand-in). */
 std::uint32_t eqMaskAvx2(const std::uint64_t *tags, unsigned lanes,
                          std::uint64_t key);
+
+/** True when the host supports AVX2, resolved once at static
+ *  initialization. A probe that runs before then reads false and takes
+ *  the SWAR kernel, which returns the same masks. */
+extern const bool host_has_avx2;
 
 } // namespace detail
 
@@ -71,20 +61,12 @@ eqMaskScalar(const std::uint64_t *tags, unsigned lanes, std::uint64_t key)
     return m;
 }
 
-/** Dispatch to the kernel selected at table construction. */
+/** The probe kernel: AVX2 when the host has it, else SWAR. */
 inline std::uint32_t
-eqMask(SimdKind kind, const std::uint64_t *tags, unsigned lanes,
-       std::uint64_t key)
+eqMask(const std::uint64_t *tags, unsigned lanes, std::uint64_t key)
 {
-    switch (kind) {
-    case SimdKind::kSse:
-        return detail::eqMaskSse(tags, lanes, key);
-    case SimdKind::kAvx2:
-        return detail::eqMaskAvx2(tags, lanes, key);
-    case SimdKind::kScalar:
-        break;
-    }
-    return eqMaskScalar(tags, lanes, key);
+    return detail::host_has_avx2 ? detail::eqMaskAvx2(tags, lanes, key)
+                                 : eqMaskScalar(tags, lanes, key);
 }
 
 /**
@@ -110,28 +92,20 @@ class SoaSetTable
      * @param ways Associativity (1..32).
      * @param index_shift Right shift applied to the key before set
      *                    selection (e.g., 6 for 64B-granular keys).
-     * @param sink When given a StatSet, attaches the BTBSIM_WAYPRED way
-     *             predictor to this table's probes (BTB structures only).
+     * @throws std::invalid_argument on zero sets or ways outside 1..32
+     *         (geometry can come from outside input, e.g. a fuzz repro's
+     *         JSON sidecar).
      */
-    SoaSetTable(unsigned sets, unsigned ways, unsigned index_shift,
-                WayPredSink sink = {})
-        : sets_(sets), ways_(ways), shift_(index_shift),
+    SoaSetTable(unsigned sets, unsigned ways, unsigned index_shift)
+        : sets_(checkedSets(sets, ways)), ways_(ways), shift_(index_shift),
           stride_((ways + 3u) & ~3u),
           full_mask_(ways >= 32 ? ~std::uint32_t{0}
                                 : (std::uint32_t{1} << ways) - 1),
-          pow2_sets_(std::has_single_bit(sets)), simd_(resolveSimd()),
+          pow2_sets_(std::has_single_bit(sets)),
           tags_(static_cast<std::size_t>(sets) * stride_, 0),
           lru_(static_cast<std::size_t>(sets) * stride_, 0),
           valid_(sets, 0), entries_(static_cast<std::size_t>(sets) * ways)
-    {
-        assert(sets >= 1 && ways >= 1 && ways <= 32);
-        if (sink.stats) {
-            const WayPredMode mode = wayPredModeFromEnv();
-            if (mode != WayPredMode::kOff)
-                pred_ = std::make_unique<WayPredictor>(mode, sets, ways,
-                                                       sink);
-        }
-    }
+    {}
 
     unsigned sets() const { return sets_; }
     unsigned ways() const { return ways_; }
@@ -140,8 +114,6 @@ class SoaSetTable
     {
         return static_cast<std::size_t>(sets_) * ways_;
     }
-    SimdKind simdKind() const { return simd_; }
-    const WayPredictor *predictor() const { return pred_.get(); }
 
     /** Set index @p key maps to (external residency modeling). */
     std::size_t
@@ -194,8 +166,6 @@ class SoaSetTable
         touch(unsigned w)
         {
             lru()[w] = ++t_->tick_;
-            if (WayPredictor *p = t_->pred_.get())
-                p->onTouch(set_, w);
         }
 
         /** Replacement choice: lowest-index invalid way, else LRU way.
@@ -229,8 +199,6 @@ class SoaSetTable
             vm |= std::uint32_t{1} << w;
             tag = key;
             lru()[w] = ++t_->tick_;
-            if (WayPredictor *p = t_->pred_.get())
-                p->onFill(set_, w, key);
             Entry &e = entry(w);
             e = Entry{};
             return e;
@@ -352,62 +320,25 @@ class SoaSetTable
     friend class SetView;
     friend class ConstSetView;
 
-    /** Shared probe core: predictor-filtered when attached. */
+    /** Throws unless sets >= 1 and 1 <= ways <= 32; returns @p sets. */
+    static unsigned
+    checkedSets(unsigned sets, unsigned ways)
+    {
+        if (sets == 0 || ways == 0 || ways > 32)
+            throw std::invalid_argument(
+                "SoaSetTable: bad geometry " + std::to_string(sets) +
+                " sets x " + std::to_string(ways) +
+                " ways (need sets >= 1 and 1 <= ways <= 32)");
+        return sets;
+    }
+
+    /** Shared probe core of SetView and ConstSetView. */
     int
     probeSet(std::size_t set, Addr key) const
     {
-        const std::uint32_t vmask = valid_[set];
-        const std::uint64_t *tags = tags_.data() + set * stride_;
-        if (WayPredictor *p = pred_.get())
-            return predictedProbe(set, key, vmask, tags, p);
-        const std::uint32_t m = eqMask(simd_, tags, stride_, key) & vmask;
+        const std::uint32_t m =
+            eqMask(tags_.data() + set * stride_, stride_, key) & valid_[set];
         return m ? std::countr_zero(m) : -1;
-    }
-
-    /**
-     * First-probe filter + accounting. Results are identical to the
-     * plain probe: MRU falls back to the full compare on a first-way
-     * miss, and a utag candidate set provably contains any hitting way.
-     */
-    int
-    predictedProbe(std::size_t set, Addr key, std::uint32_t vmask,
-                   const std::uint64_t *tags, WayPredictor *p) const
-    {
-        ++*p->probes;
-        if (p->mode() == WayPredMode::kMru) {
-            const unsigned pw = p->predictedWay(set);
-            ++*p->ways_read;
-            if (pw < ways_ && ((vmask >> pw) & 1u) && tags[pw] == key) {
-                ++*p->correct;
-                return static_cast<int>(pw);
-            }
-            ++*p->fallbacks;
-            *p->ways_read += ways_;
-            const std::uint32_t m =
-                eqMask(simd_, tags, stride_, key) & vmask;
-            if (m) {
-                ++*p->wrong;
-                return std::countr_zero(m);
-            }
-            ++*p->misses;
-            return -1;
-        }
-        // utag: read full tags for hash-matching ways only.
-        const std::uint32_t cand =
-            p->utagCandidates(set, WayPredictor::hashKey(key)) & vmask;
-        const auto nread = static_cast<std::uint64_t>(std::popcount(cand));
-        *p->ways_read += nread;
-        for (std::uint32_t m = cand; m; m &= m - 1) {
-            const int w = std::countr_zero(m);
-            if (tags[w] == key) {
-                ++*p->correct;
-                *p->wrong += nread - 1;
-                return w;
-            }
-        }
-        *p->wrong += nread;
-        ++*p->misses;
-        return -1;
     }
 
     unsigned sets_;
@@ -416,14 +347,12 @@ class SoaSetTable
     unsigned stride_; ///< Tag/LRU lanes per set (ways rounded up to 4).
     std::uint32_t full_mask_; ///< Low ways_ bits set.
     bool pow2_sets_;
-    SimdKind simd_;
     std::vector<std::uint64_t> tags_; ///< Padding lanes masked by valid_.
     std::uint64_t tick_ = 0;
     std::vector<std::uint64_t> lru_;
     std::vector<std::uint32_t> valid_;
     std::vector<Entry> entries_;
     std::uint64_t evictions_ = 0;
-    std::unique_ptr<WayPredictor> pred_;
 };
 
 // ---- Whole-table compositions of the SetView primitives -------------------

@@ -4,18 +4,13 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
-#include <functional>
 #include <mutex>
-#include <set>
-#include <sstream>
 #include <thread>
 
 #include "common/env.h"
 #include "exp/journal.h"
 #include "exp/sha256.h"
 #include "obs/export.h"
-#include "obs/progress.h"
 #include "obs/registry.h"
 #include "obs/sampler.h"
 #include "obs/span.h"
@@ -33,8 +28,6 @@ pointStatusName(PointStatus s)
         return "cached";
       case PointStatus::kFailed:
         return "failed";
-      case PointStatus::kSkipped:
-        return "skipped";
     }
     return "unknown";
 }
@@ -48,7 +41,6 @@ ExperimentResult::counters() const
     scope.counter("ok") = summary.ok;
     scope.counter("cached") = summary.cached;
     scope.counter("failed") = summary.failed;
-    scope.counter("skipped") = summary.skipped;
     scope.counter("retries") = summary.retries;
     scope.counter("resumed") = summary.resumed;
     std::map<std::string, double> out = reg.flatten();
@@ -117,30 +109,10 @@ ExperimentOptions::fromEnv(const std::string &default_cache_dir)
     if (env::flag("BTBSIM_TRACE"))
         o.cache_dir.clear();
     o.resume = env::flag("BTBSIM_RESUME");
-    o.retries = static_cast<unsigned>(env::u64("BTBSIM_RETRIES", o.retries));
-    o.max_failures =
-        static_cast<unsigned>(env::u64("BTBSIM_MAX_FAILURES", 0));
     return o;
 }
 
 namespace {
-
-/** Render one single-line JSON record (JsonWriter pretty-prints, so
- *  newlines are stripped; JSON strings never contain raw newlines). */
-std::string
-flatJsonLine(const std::function<void(obs::JsonWriter &)> &fill)
-{
-    std::ostringstream os;
-    obs::JsonWriter w(os);
-    fill(w);
-    const std::string s = os.str();
-    std::string flat;
-    flat.reserve(s.size());
-    for (char c : s)
-        if (c != '\n')
-            flat += c;
-    return flat;
-}
 
 unsigned
 resolveThreads(unsigned requested, std::size_t jobs)
@@ -226,85 +198,13 @@ Experiment::run()
     result.shards.assign(n_threads, ShardUtil{});
 
     std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> failures{0};
     std::atomic<std::size_t> retries{0};
     std::atomic<std::size_t> resumed{0};
     std::mutex point_mu; // Serializes the on_point callback.
 
-    // Live JSONL progress stream (BTBSIM_PROGRESS_FD / _FILE): one
-    // sweep_start record, one per finished point, one sweep_end.
-    const std::unique_ptr<obs::ProgressStream> progress =
-        obs::ProgressStream::openFromEnv();
-    std::mutex progress_mu; // Guards the done/status tallies below.
-    struct
-    {
-        std::size_t done = 0, ok = 0, cached = 0, failed = 0, skipped = 0;
-    } tally;
-    if (progress) {
-        progress->emitLine(flatJsonLine([&](obs::JsonWriter &w) {
-            w.beginObject();
-            w.kv("type", "sweep_start");
-            w.kv("sweep", name_);
-            w.kv("total", static_cast<std::uint64_t>(result.points.size()));
-            w.kv("cache", cache.enabled() ? cache.dir() : "");
-            w.kv("threads", n_threads);
-            w.endObject();
-        }));
-    }
-
     auto finishPoint = [&](PointResult &p) {
         journal.append({p.digest, pointStatusName(p.status), p.config,
                         p.workload, p.attempts, p.error});
-        if (progress) {
-            std::lock_guard<std::mutex> lk(progress_mu);
-            ++tally.done;
-            switch (p.status) {
-              case PointStatus::kOk:
-                ++tally.ok;
-                break;
-              case PointStatus::kCached:
-                ++tally.cached;
-                break;
-              case PointStatus::kFailed:
-                ++tally.failed;
-                break;
-              case PointStatus::kSkipped:
-                ++tally.skipped;
-                break;
-            }
-            const double elapsed =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-            // Linear extrapolation over finished points; -1 until the
-            // first one lands (no basis for an estimate yet).
-            const std::size_t left = result.points.size() - tally.done;
-            const double eta =
-                tally.done > 0
-                    ? elapsed / static_cast<double>(tally.done) *
-                          static_cast<double>(left)
-                    : -1.0;
-            progress->emitLine(flatJsonLine([&](obs::JsonWriter &w) {
-                w.beginObject();
-                w.kv("type", "point");
-                w.kv("sweep", name_);
-                w.kv("done", static_cast<std::uint64_t>(tally.done));
-                w.kv("total",
-                     static_cast<std::uint64_t>(result.points.size()));
-                w.kv("ok", static_cast<std::uint64_t>(tally.ok));
-                w.kv("cached", static_cast<std::uint64_t>(tally.cached));
-                w.kv("failed", static_cast<std::uint64_t>(tally.failed));
-                w.kv("skipped", static_cast<std::uint64_t>(tally.skipped));
-                w.kv("elapsed_seconds", elapsed);
-                w.kv("eta_seconds", eta);
-                w.kv("config", p.config);
-                w.kv("workload", p.workload);
-                w.kv("status", pointStatusName(p.status));
-                w.kv("span",
-                     obs::SpanCollector::instance().currentPath());
-                w.endObject();
-            }));
-        }
         if (opt_.on_point) {
             std::lock_guard<std::mutex> lk(point_mu);
             opt_.on_point(p);
@@ -327,16 +227,6 @@ Experiment::run()
                         std::chrono::steady_clock::now() - point_t0)
                         .count();
             };
-
-            // Circuit breaker: once the failure budget is spent, stop
-            // burning host time and report the rest as skipped.
-            if (opt_.max_failures != 0 &&
-                failures.load() >= opt_.max_failures) {
-                p.status = PointStatus::kSkipped;
-                finishPoint(p);
-                account();
-                continue;
-            }
 
             if (cache.enabled()) {
                 obs::ObsSpan probe_span("cache_probe");
@@ -368,23 +258,13 @@ Experiment::run()
                     p.error = "non-standard exception";
                 }
                 p.status = PointStatus::kFailed;
-                if (attempt < max_attempts) {
+                if (attempt < max_attempts)
                     retries.fetch_add(1);
-                    // Bounded exponential backoff, capped at 1s.
-                    const unsigned ms = std::min<unsigned>(
-                        opt_.backoff_ms << (attempt - 1), 1000);
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(ms));
-                }
             }
 
-            if (p.status == PointStatus::kOk) {
-                if (cache.enabled()) {
-                    obs::ObsSpan store_span("cache_store");
-                    cache.store(p.digest, key_jsons[i], p.stats);
-                }
-            } else {
-                failures.fetch_add(1);
+            if (p.status == PointStatus::kOk && cache.enabled()) {
+                obs::ObsSpan store_span("cache_store");
+                cache.store(p.digest, key_jsons[i], p.stats);
             }
             finishPoint(p);
             account();
@@ -411,9 +291,6 @@ Experiment::run()
           case PointStatus::kFailed:
             ++s.failed;
             break;
-          case PointStatus::kSkipped:
-            ++s.skipped;
-            break;
         }
     }
     s.retries = retries.load();
@@ -421,22 +298,6 @@ Experiment::run()
     s.wall_seconds = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - t0)
                          .count();
-
-    if (progress) {
-        progress->emitLine(flatJsonLine([&](obs::JsonWriter &w) {
-            w.beginObject();
-            w.kv("type", "sweep_end");
-            w.kv("sweep", name_);
-            w.kv("total", static_cast<std::uint64_t>(s.total));
-            w.kv("ok", static_cast<std::uint64_t>(s.ok));
-            w.kv("cached", static_cast<std::uint64_t>(s.cached));
-            w.kv("failed", static_cast<std::uint64_t>(s.failed));
-            w.kv("skipped", static_cast<std::uint64_t>(s.skipped));
-            w.kv("retries", static_cast<std::uint64_t>(s.retries));
-            w.kv("wall_seconds", s.wall_seconds);
-            w.endObject();
-        }));
-    }
     return result;
 }
 

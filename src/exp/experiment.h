@@ -3,16 +3,14 @@
  * The experiment engine: a typed, fault-tolerant, cache-aware sweep of
  * configs x workloads, sitting above sim/runner.h's runOne().
  *
- * Where runMatrix() returns bare SimStats and aborts the whole sweep on
- * the first worker exception, an Experiment:
+ * An Experiment:
  *
  *  - identifies every point by a content hash of its canonical run key
  *    (exp/run_cache.h) and serves warm points bit-identically from the
  *    persistent run cache without simulating;
  *  - schedules cold points through a dynamic work queue, isolating a
- *    worker exception to its point, retrying it with bounded backoff,
- *    and (optionally) circuit-breaking the sweep after max_failures
- *    while reporting the untouched points as skipped;
+ *    worker exception to its point (and re-running it at once when the
+ *    caller asks for retries);
  *  - journals per-point completion (JSONL) so an interrupted sweep can
  *    be resumed with resume=true / BTBSIM_RESUME=1 / --resume;
  *  - reports progress and cache-hit-rate through an obs::StatRegistry
@@ -20,8 +18,7 @@
  *    bench JSON "experiment" block.
  *
  * Per-point status: ok (simulated this run), cached (served from the
- * store), failed (exhausted retries; error recorded), skipped (not
- * attempted because the failure limit tripped).
+ * store), failed (every attempt raised; error recorded).
  */
 
 #ifndef BTBSIM_EXP_EXPERIMENT_H
@@ -43,7 +40,6 @@ enum class PointStatus : std::uint8_t {
     kOk,      ///< Simulated successfully this run.
     kCached,  ///< Served bit-identically from the run cache.
     kFailed,  ///< All attempts raised; see PointResult::error.
-    kSkipped, ///< Not attempted (failure limit tripped first).
 };
 
 const char *pointStatusName(PointStatus s);
@@ -57,8 +53,8 @@ struct PointResult
     std::string workload; ///< WorkloadSpec::name.
     std::string digest;   ///< Content hash of the canonical run key.
 
-    PointStatus status = PointStatus::kSkipped;
-    unsigned attempts = 0; ///< Simulation attempts (0 for cached/skipped).
+    PointStatus status = PointStatus::kFailed;
+    unsigned attempts = 0; ///< Simulation attempts (0 for cached).
     std::string error;     ///< Last failure message (kFailed only).
 
     SimStats stats; ///< Valid for kOk and kCached.
@@ -84,7 +80,6 @@ struct ExperimentSummary
     std::size_t ok = 0;
     std::size_t cached = 0;
     std::size_t failed = 0;
-    std::size_t skipped = 0;
     std::size_t retries = 0; ///< Attempts beyond the first, summed.
     /** Cached points whose digest the resume journal already listed as
      *  complete — i.e. work a previous interrupted run contributed. */
@@ -111,20 +106,20 @@ struct ExperimentResult
     /** One entry per worker thread the sweep ran on. */
     std::vector<ShardUtil> shards;
 
-    /** Flattened "exp.*" metrics (points, ok, cached, failed, skipped,
-     *  retries, cache_hit_rate, wall_seconds, shards and per-shard
+    /** Flattened "exp.*" metrics (points, ok, cached, failed, retries,
+     *  cache_hit_rate, wall_seconds, shards and per-shard
      *  shard<i>.points / busy_seconds / util) for the JSON exporter. */
     std::map<std::string, double> counters() const;
 
-    bool allOk() const { return summary.failed == 0 && summary.skipped == 0; }
+    bool allOk() const { return summary.failed == 0; }
 
     /** Points that failed, for error reporting. */
     std::vector<const PointResult *> failures() const;
 
     /**
      * The stats of every point carrying results, in sweep order
-     * (failed/skipped points are absent — check allOk() first when a
-     * dense matrix is required).
+     * (failed points are absent — check allOk() first when a dense
+     * matrix is required).
      */
     std::vector<SimStats> stats() const;
 };
@@ -137,13 +132,10 @@ struct ExperimentOptions
     /** Run-cache directory; empty disables caching. */
     std::string cache_dir;
 
-    /** Extra attempts after a point's first failure. */
-    unsigned retries = 2;
-    /** Base backoff before a retry; doubles per attempt, capped at 1s. */
-    unsigned backoff_ms = 10;
-    /** Stop scheduling new points after this many failures (0 = off);
-     *  unscheduled points report kSkipped. */
-    unsigned max_failures = 0;
+    /** Extra attempts after a point's first failure, each run at once.
+     *  A deterministic point that fails once fails every time, so the
+     *  default is none. */
+    unsigned retries = 0;
 
     /** Resume from the journal instead of truncating it. */
     bool resume = false;
@@ -163,10 +155,9 @@ struct ExperimentOptions
     /**
      * Environment-driven options for sweeps run by benches and tools:
      * RunOptions::fromEnv() plus BTBSIM_RUN_CACHE (default
-     * @p default_cache_dir), BTBSIM_RESUME, BTBSIM_RETRIES and
-     * BTBSIM_MAX_FAILURES. BTBSIM_TRACE=1 forces the cache off: a
-     * cached point skips the simulation whose decisions the tracer
-     * would have recorded.
+     * @p default_cache_dir) and BTBSIM_RESUME. BTBSIM_TRACE=1 forces
+     * the cache off: a cached point skips the simulation whose
+     * decisions the tracer would have recorded.
      */
     static ExperimentOptions
     fromEnv(const std::string &default_cache_dir = "results/cache");

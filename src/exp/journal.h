@@ -37,7 +37,7 @@ namespace btbsim::exp {
 struct JournalRecord
 {
     std::string digest;
-    std::string status; ///< "ok", "cached", "failed" or "skipped".
+    std::string status; ///< "ok", "cached" or "failed".
     std::string config;
     std::string workload;
     unsigned attempts = 0;

@@ -55,7 +55,7 @@ class StatRegistry
     /**
      * Combine @p other into this registry: counters add, running means
      * pool their sums, histograms add bucket-wise. Used to aggregate the
-     * per-run registries produced by the threaded runMatrix.
+     * per-run registries produced by a threaded sweep.
      */
     void merge(const StatRegistry &other);
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Experiment runner: simulate configurations across the workload suite,
- * in parallel, with environment-controlled scale.
+ * Single-run entry point: simulate one configuration on one workload,
+ * with environment-controlled scale.
  */
 
 #ifndef BTBSIM_SIM_RUNNER_H
@@ -31,27 +31,14 @@ struct RunOptions
     bool operator==(const RunOptions &) const = default;
 };
 
-/** Simulate one configuration on one workload. */
+/**
+ * Simulate one configuration on one workload. The run opens its own
+ * TraceSource (generated, or a .btbt replay — see
+ * traceio/replay_env.h), so concurrent runs share no source state. Sweeps
+ * of configs x workloads go through exp::Experiment (exp/experiment.h).
+ */
 SimStats runOne(const CpuConfig &cfg, const WorkloadSpec &spec,
                 const RunOptions &opt);
-
-/**
- * Simulate a set of configurations across a set of workloads. Results are
- * ordered by (config index, workload index). Runs are spread across
- * threads; each run is deterministic in isolation. Every worker opens
- * its own TraceSource (generated or .btbt replay — see
- * traceio/replay_env.h), never sharing instances, so results are
- * bit-identical regardless of thread count.
- *
- * This is a thin wrapper over the experiment engine (exp/experiment.h),
- * which adds the content-addressed run cache, retries and per-point
- * failure isolation; prefer it for new sweeps. A point that still fails
- * after retries makes runMatrix throw std::runtime_error listing every
- * failed (config, workload) — after the rest of the sweep completed.
- */
-std::vector<SimStats> runMatrix(const std::vector<CpuConfig> &configs,
-                                const std::vector<WorkloadSpec> &suite,
-                                const RunOptions &opt);
 
 } // namespace btbsim
 

@@ -46,7 +46,7 @@ std::string replayPath(const std::string &dir,
  * aborting a whole bench matrix.
  *
  * Each call constructs a fresh, self-contained source, so every
- * runMatrix worker gets its own instance — the thread-safety contract
+ * sweep worker gets its own instance — the thread-safety contract
  * of TraceSource.
  */
 OpenedSource openWorkloadSource(const WorkloadSpec &spec);

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 
 #include "common/env.h"
@@ -40,12 +41,10 @@ TEST(Env, EveryDocumentedKnobIsRegistered)
     for (const char *name :
          {"BTBSIM_WARMUP", "BTBSIM_MEASURE", "BTBSIM_TRACES",
           "BTBSIM_THREADS", "BTBSIM_RUN_CACHE", "BTBSIM_RESUME",
-          "BTBSIM_RETRIES", "BTBSIM_MAX_FAILURES", "BTBSIM_SAMPLE_INTERVAL",
-          "BTBSIM_SPANS", "BTBSIM_SPAN_CAP", "BTBSIM_SPAN_OUT",
-          "BTBSIM_HOST_COUNTERS", "BTBSIM_PROGRESS_FD",
-          "BTBSIM_PROGRESS_FILE", "BTBSIM_TRACE", "BTBSIM_TRACE_CAP",
-          "BTBSIM_TRACE_DIR", "BTBSIM_JSON_OUT", "BTBSIM_CSV_OUT",
-          "BTBSIM_REPLAY_MMAP", "BTBSIM_REPLAY_CACHE_MB"})
+          "BTBSIM_SAMPLE_INTERVAL", "BTBSIM_SPANS", "BTBSIM_SPAN_CAP",
+          "BTBSIM_SPAN_OUT", "BTBSIM_HOST_COUNTERS", "BTBSIM_TRACE",
+          "BTBSIM_TRACE_CAP", "BTBSIM_TRACE_DIR", "BTBSIM_JSON_OUT",
+          "BTBSIM_CSV_OUT", "BTBSIM_REPLAY_MMAP", "BTBSIM_REPLAY_CACHE_MB"})
         EXPECT_TRUE(env::isKnown(name)) << name;
 }
 
@@ -76,6 +75,29 @@ TEST(Env, U64)
     {
         ScopedEnv e(kVar, "123456789012");
         EXPECT_EQ(env::u64(kVar, 77), 123456789012ull);
+    }
+    {
+        ScopedEnv e(kVar, "0");
+        EXPECT_EQ(env::u64(kVar, 77), 0u);
+    }
+    {
+        ScopedEnv e(kVar, "18446744073709551615");
+        EXPECT_EQ(env::u64(kVar, 77), 18446744073709551615ull);
+    }
+    // Anything but plain decimal digits fails loudly, naming the knob:
+    // strtoull alone would have read "1e6" as 1, "abc" as 0, "500k" as
+    // 500 and "-1" as 2^64-1.
+    for (const char *bad :
+         {"1e6", "abc", "500k", "-1", "+5", " 5", "5 ", "0x10",
+          "18446744073709551616", "99999999999999999999"}) {
+        ScopedEnv e(kVar, bad);
+        try {
+            env::u64(kVar, 77);
+            ADD_FAILURE() << "accepted " << bad;
+        } catch (const std::invalid_argument &ex) {
+            EXPECT_NE(std::string(ex.what()).find(kVar), std::string::npos)
+                << ex.what();
+        }
     }
 }
 

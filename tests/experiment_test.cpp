@@ -60,7 +60,6 @@ baseOptions(const std::string &cache_dir)
     o.run.measure = 1000;
     o.run.threads = 2;
     o.cache_dir = cache_dir;
-    o.backoff_ms = 1; // Keep retry tests fast.
     o.simulate = fakeSim;
     return o;
 }
@@ -214,23 +213,6 @@ TEST(Experiment, PermanentFailureIsIsolatedToItsPoint)
     }
 }
 
-TEST(Experiment, CircuitBreakerSkipsAfterMaxFailures)
-{
-    auto opt = baseOptions("");
-    opt.retries = 0;
-    opt.max_failures = 1;
-    opt.run.threads = 1; // Deterministic scheduling for the assertion.
-    opt.simulate = [](const CpuConfig &, const WorkloadSpec &,
-                      const RunOptions &) -> SimStats {
-        throw std::runtime_error("always fails");
-    };
-    const auto r = exp::runExperiment("t-breaker", twoConfigs(),
-                                      threeWorkloads(), std::move(opt));
-    EXPECT_EQ(r.summary.failed, 1u);
-    EXPECT_EQ(r.summary.skipped, 5u);
-    EXPECT_FALSE(r.allOk());
-}
-
 TEST(Experiment, ResumePicksUpWhereAnInterruptedSweepStopped)
 {
     const std::string dir = freshDir("exp_resume");
@@ -375,13 +357,9 @@ TEST(Experiment, EnvOptions)
     {
         test::ScopedEnv e1("BTBSIM_RUN_CACHE", "/tmp/expenv");
         test::ScopedEnv e2("BTBSIM_RESUME", "1");
-        test::ScopedEnv e3("BTBSIM_RETRIES", "5");
-        test::ScopedEnv e4("BTBSIM_MAX_FAILURES", "9");
         const auto o = exp::ExperimentOptions::fromEnv("fallback");
         EXPECT_EQ(o.cache_dir, "/tmp/expenv");
         EXPECT_TRUE(o.resume);
-        EXPECT_EQ(o.retries, 5u);
-        EXPECT_EQ(o.max_failures, 9u);
     }
 
     test::ScopedEnv e1("BTBSIM_RUN_CACHE", nullptr);
@@ -389,4 +367,5 @@ TEST(Experiment, EnvOptions)
     const auto d = exp::ExperimentOptions::fromEnv("fallback");
     EXPECT_EQ(d.cache_dir, "fallback");
     EXPECT_FALSE(d.resume);
+    EXPECT_EQ(d.retries, 0u); // No retries unless a caller asks.
 }

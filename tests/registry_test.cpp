@@ -91,7 +91,7 @@ TEST(StatRegistry, MergeCombinesAllKinds)
 
 TEST(StatRegistry, MergeAcrossThreads)
 {
-    // Each worker fills its own registry (the runMatrix pattern: no
+    // Each worker fills its own registry (the sweep-worker pattern: no
     // sharing during the run), then the results merge deterministically.
     constexpr int kThreads = 4;
     constexpr int kIncrements = 1000;

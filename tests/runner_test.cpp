@@ -1,4 +1,5 @@
-/** @file Tests for the experiment runner. */
+/** @file Tests for the single-run entry point and for sweeps of it
+ *  through the experiment engine. */
 
 #include <gtest/gtest.h>
 
@@ -6,11 +7,34 @@
 #include <filesystem>
 
 #include "env_util.h"
+#include "exp/experiment.h"
 #include "sim/runner.h"
 #include "traceio/replay_env.h"
 #include "traceio/trace_writer.h"
 
 using namespace btbsim;
+
+namespace {
+
+/** Sweep @p configs x @p suite through the experiment engine with the
+ *  run cache off, so every point simulates; fails the test on any
+ *  failed point. */
+std::vector<SimStats>
+sweep(const std::vector<CpuConfig> &configs,
+      const std::vector<WorkloadSpec> &suite, const RunOptions &opt)
+{
+    exp::ExperimentOptions eopt;
+    eopt.run = opt;
+    const exp::ExperimentResult r =
+        exp::runExperiment("runner_test", configs, suite, std::move(eopt));
+    EXPECT_TRUE(r.allOk());
+    for (const exp::PointResult *p : r.failures())
+        ADD_FAILURE() << p->config << ", " << p->workload << ": "
+                      << p->error;
+    return r.stats();
+}
+
+} // namespace
 
 TEST(Runner, EnvOverrides)
 {
@@ -49,8 +73,8 @@ TEST(Runner, MatrixOrderingAndDeterminism)
     configs[0].btb = BtbConfig::ibtb(16);
     configs[1].btb = BtbConfig::bbtb(1, true);
 
-    const auto r1 = runMatrix(configs, {spec}, opt);
-    const auto r2 = runMatrix(configs, {spec}, opt);
+    const auto r1 = sweep(configs, {spec}, opt);
+    const auto r2 = sweep(configs, {spec}, opt);
     ASSERT_EQ(r1.size(), 2u);
     // Ordered by (config, workload).
     EXPECT_EQ(r1[0].config, "I-BTB 16");
@@ -62,7 +86,7 @@ TEST(Runner, MatrixOrderingAndDeterminism)
 
 TEST(Runner, ReplayAcrossThreadsIsBitIdentical)
 {
-    // One .btbt recording, replayed concurrently by several runMatrix
+    // One .btbt recording, replayed concurrently by several sweep
     // workers: every worker opens its own TraceReplaySource, so thread
     // count must not change a single bit of the results.
     RunOptions opt;
@@ -96,9 +120,9 @@ TEST(Runner, ReplayAcrossThreadsIsBitIdentical)
     {
         test::ScopedEnv env("BTBSIM_TRACE_DIR", dir.c_str());
         opt.threads = 2;
-        mt = runMatrix(configs, {spec}, opt);
+        mt = sweep(configs, {spec}, opt);
         opt.threads = 1;
-        st = runMatrix(configs, {spec}, opt);
+        st = sweep(configs, {spec}, opt);
     }
 
     ASSERT_EQ(mt.size(), 2u);

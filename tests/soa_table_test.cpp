@@ -2,26 +2,28 @@
  * @file
  * SoaSetTable unit tests: the SetView handle API, replacement-contract
  * parity with the retired AoS SetAssocTable (a reference model below
- * reproduces its exact semantics), scalar-vs-SIMD probe equivalence,
- * and the BTBSIM_WAYPRED first-probe filter.
+ * reproduces its exact semantics), SWAR-vs-AVX2 kernel equivalence and
+ * geometry validation.
  */
 
 #include <algorithm>
 #include <cstdint>
 #include <random>
+#include <sstream>
+#include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/stats.h"
+#include "core/btb_org.h"
 #include "core/soa_table.h"
-#include "core/way_pred.h"
-#include "env_util.h"
+#include "exp/config_json.h"
+#include "memory/cache.h"
+#include "obs/json.h"
 
 namespace btbsim {
 namespace {
-
-using test::ScopedEnv;
 
 struct Payload
 {
@@ -352,48 +354,53 @@ TEST(SoaTableTest, LruTieBreakPrefersEarliestWay)
     EXPECT_NE(peekFind(tbl, 12), nullptr);
 }
 
-// ---- Scalar vs SIMD probe equivalence -------------------------------------
+// ---- Probe kernels --------------------------------------------------------
 
-TEST(SoaSimdTest, KernelsAgreeOnRandomKeys)
+TEST(SoaKernelTest, Avx2MatchesScalarOnEveryStride)
 {
-    // Same fill sequence under each BTBSIM_SIMD setting; every probe
-    // must agree with the scalar table way-for-way. Unsupported kernels
-    // clamp to scalar, so this passes (trivially) on any host.
+    // The AVX2 kernel must return the SWAR reference's mask bit for bit,
+    // at every padded stride a table can have (4..32 lanes), on random
+    // tags with planted hits, including key 0 against zeroed padding
+    // lanes (the probe masks padding with the valid word, the kernels
+    // must not).
+#if defined(__x86_64__) || defined(_M_X64)
+    if (!__builtin_cpu_supports("avx2"))
+        GTEST_SKIP() << "host lacks AVX2";
+#else
+    GTEST_SKIP() << "AVX2 kernel is x86-64 only";
+#endif
+    EXPECT_TRUE(detail::host_has_avx2);
     std::mt19937_64 rng(7);
-    std::vector<Addr> keys(4000);
-    for (Addr &k : keys)
-        k = rng() % 1024;
-
-    const char *kinds[] = {"scalar", "sse", "avx2", "auto"};
-    std::vector<std::vector<int>> probes;
-    for (const char *kind : kinds) {
-        ScopedEnv e("BTBSIM_SIMD", kind);
-        SoaSetTable<Payload> tbl(16, 6, 0); // stride pads 6 -> 8 lanes
-        std::vector<int> result;
-        for (std::size_t i = 0; i < keys.size(); ++i) {
-            if (i % 3 == 0)
-                fillEntry(tbl, keys[i]);
-            result.push_back(tbl.set(keys[i]).probe(keys[i]));
+    std::uint64_t tags[32];
+    for (unsigned lanes = 4; lanes <= 32; lanes += 4) {
+        for (int trial = 0; trial < 200; ++trial) {
+            // Narrow tag range so keys repeat across lanes; the padded
+            // tail stays 0 like a fresh table's padding lanes.
+            const unsigned ways = lanes - static_cast<unsigned>(rng() % 4);
+            for (unsigned w = 0; w < lanes; ++w)
+                tags[w] = w < ways ? rng() % 16 : 0;
+            for (std::uint64_t key : {std::uint64_t{0}, rng() % 16,
+                                      tags[rng() % ways], rng()}) {
+                const std::uint32_t ref = eqMaskScalar(tags, lanes, key);
+                ASSERT_EQ(detail::eqMaskAvx2(tags, lanes, key), ref)
+                    << "lanes " << lanes << " key " << key;
+                ASSERT_EQ(eqMask(tags, lanes, key), ref);
+            }
         }
-        probes.push_back(std::move(result));
+        // Key 0 hits every zeroed padding lane in both kernels.
+        for (unsigned w = 0; w < lanes; ++w)
+            tags[w] = 0;
+        const std::uint32_t all =
+            lanes == 32 ? ~std::uint32_t{0} : (std::uint32_t{1} << lanes) - 1;
+        EXPECT_EQ(eqMaskScalar(tags, lanes, 0), all);
+        EXPECT_EQ(detail::eqMaskAvx2(tags, lanes, 0), all);
     }
-    for (std::size_t i = 1; i < probes.size(); ++i)
-        EXPECT_EQ(probes[0], probes[i]) << "kind " << kinds[i];
 }
 
-TEST(SoaSimdTest, ScalarSelectionHonored)
-{
-    ScopedEnv e("BTBSIM_SIMD", "scalar");
-    SoaSetTable<Payload> tbl(2, 2, 0);
-    EXPECT_EQ(tbl.simdKind(), SimdKind::kScalar);
-    EXPECT_STREQ(simdKindName(tbl.simdKind()), "scalar");
-}
-
-TEST(SoaSimdTest, PaddingLanesNeverMatch)
+TEST(SoaKernelTest, PaddingLanesNeverMatch)
 {
     // Key 0 equals the padding lanes' initial tag value; the valid mask
     // must keep padding out of the probe result.
-    ScopedEnv e("BTBSIM_SIMD", "auto");
     SoaSetTable<Payload> tbl(2, 5, 0); // stride pads 5 -> 8 lanes
     EXPECT_EQ(tbl.set(Addr{0}).probe(Addr{0}), -1);
     fillEntry(tbl, Addr{0}).value = 9;
@@ -403,113 +410,57 @@ TEST(SoaSimdTest, PaddingLanesNeverMatch)
     EXPECT_EQ(p->value, 9);
 }
 
-// ---- Way prediction -------------------------------------------------------
+// ---- Geometry validation --------------------------------------------------
 
-TEST(WayPredTest, OffByDefaultConstructsNoPredictor)
+/** @p c written as its JSON sidecar and read back, as `btbsim-fuzz
+ *  replay` loads a repro's config. */
+BtbConfig
+viaJson(const BtbConfig &c)
 {
-    ScopedEnv e("BTBSIM_WAYPRED", nullptr);
-    StatSet stats;
-    SoaSetTable<Payload> tbl(4, 4, 0, WayPredSink{&stats, "waypred.l1."});
-    EXPECT_EQ(tbl.predictor(), nullptr);
-    EXPECT_TRUE(stats.all().empty());
+    std::ostringstream os;
+    obs::JsonWriter w(os);
+    exp::writeBtbConfigJson(w, c);
+    return exp::btbConfigFromJson(obs::parseJson(os.str()));
 }
 
-TEST(WayPredTest, NoSinkMeansNoPredictorEvenWhenEnabled)
+TEST(SoaGeometryTest, BadGeometryThrows)
 {
-    ScopedEnv e("BTBSIM_WAYPRED", "mru");
-    SoaSetTable<Payload> tbl(4, 4, 0); // host-side table: no sink
-    EXPECT_EQ(tbl.predictor(), nullptr);
+    EXPECT_THROW(SoaSetTable<Payload>(0, 4, 0), std::invalid_argument);
+    EXPECT_THROW(SoaSetTable<Payload>(4, 0, 0), std::invalid_argument);
+    EXPECT_THROW(SoaSetTable<Payload>(4, 33, 0), std::invalid_argument);
+    EXPECT_THROW(SoaSetTable<Payload>(4, 40, 0), std::invalid_argument);
+    EXPECT_NO_THROW(SoaSetTable<Payload>(1, 1, 0));
+    EXPECT_NO_THROW(SoaSetTable<Payload>(3, 32, 0));
 }
 
-TEST(WayPredTest, HashKeyNeverZero)
+TEST(SoaGeometryTest, BadBtbSidecarGeometryThrows)
 {
-    EXPECT_NE(WayPredictor::hashKey(0), 0);
-    std::mt19937_64 rng(3);
-    for (int i = 0; i < 1000; ++i)
-        EXPECT_NE(WayPredictor::hashKey(rng()), 0);
+    // A fuzz repro's JSON sidecar is outside input: a zero set count
+    // would divide by zero in setIndex and 40 ways would shift a 32-bit
+    // mask out of range. Both must fail at construction instead.
+    const BtbConfig good = BtbConfig::ibtb(16);
+    ASSERT_NO_THROW(makeBtb(viaJson(good)));
+    for (const auto &[level, sets, ways] :
+         {std::tuple{1, 0u, 4u}, std::tuple{1, 8u, 40u},
+          std::tuple{2, 0u, 4u}, std::tuple{2, 8u, 0u}}) {
+        BtbConfig bad = good;
+        BtbLevelGeom &g = level == 1 ? bad.l1 : bad.l2;
+        g.sets = sets;
+        g.ways = ways;
+        EXPECT_THROW(makeBtb(viaJson(bad)), std::invalid_argument)
+            << "l" << level << " " << sets << "x" << ways;
+    }
 }
 
-TEST(WayPredTest, MruProbeResultsExact)
+TEST(SoaGeometryTest, BadCacheGeometryThrows)
 {
-    ScopedEnv e("BTBSIM_WAYPRED", "mru");
-    StatSet stats;
-    SoaSetTable<Payload> pred(8, 4, 0, WayPredSink{&stats, "waypred.l1."});
-    SoaSetTable<Payload> plain(8, 4, 0);
-    ASSERT_NE(pred.predictor(), nullptr);
-    EXPECT_EQ(pred.predictor()->mode(), WayPredMode::kMru);
-    std::mt19937_64 rng(11);
-    for (int i = 0; i < 10000; ++i) {
-        const Addr key = rng() % 256;
-        if (rng() % 3 == 0) {
-            fillEntry(pred, key);
-            fillEntry(plain, key);
-        } else {
-            ASSERT_EQ(touchingFind(pred, key) != nullptr,
-                      touchingFind(plain, key) != nullptr)
-                << "op " << i;
-        }
-        ASSERT_EQ(pred.evictions(), plain.evictions());
-    }
-    EXPECT_GT(stats["waypred.l1.probes"], 0u);
-    EXPECT_GT(stats["waypred.l1.correct"], 0u);
-    // Counters partition the probes: correct + fallbacks == probes.
-    EXPECT_EQ(stats["waypred.l1.correct"] + stats["waypred.l1.fallbacks"],
-              stats["waypred.l1.probes"]);
-    // Energy proxy: each probe reads >= 1 way and a fallback reads the
-    // full set on top of the predicted way.
-    EXPECT_EQ(stats["waypred.l1.ways_read"],
-              stats["waypred.l1.probes"] +
-                  stats["waypred.l1.fallbacks"] * pred.ways());
-}
-
-TEST(WayPredTest, UtagProbeResultsExact)
-{
-    ScopedEnv e("BTBSIM_WAYPRED", "utag");
-    StatSet stats;
-    SoaSetTable<Payload> pred(8, 4, 0, WayPredSink{&stats, "waypred.l1."});
-    SoaSetTable<Payload> plain(8, 4, 0);
-    ASSERT_NE(pred.predictor(), nullptr);
-    EXPECT_EQ(pred.predictor()->mode(), WayPredMode::kUtag);
-    std::mt19937_64 rng(13);
-    for (int i = 0; i < 10000; ++i) {
-        const Addr key = rng() % 256;
-        if (rng() % 3 == 0) {
-            fillEntry(pred, key);
-            fillEntry(plain, key);
-        } else {
-            ASSERT_EQ(touchingFind(pred, key) != nullptr,
-                      touchingFind(plain, key) != nullptr)
-                << "op " << i;
-        }
-        ASSERT_EQ(pred.evictions(), plain.evictions());
-    }
-    EXPECT_GT(stats["waypred.l1.probes"], 0u);
-    EXPECT_GT(stats["waypred.l1.correct"], 0u);
-    // correct + misses == probes (no false negatives by construction).
-    EXPECT_EQ(stats["waypred.l1.correct"] + stats["waypred.l1.misses"],
-              stats["waypred.l1.probes"]);
-    // The candidate filter reads at most a full set per probe.
-    EXPECT_LE(stats["waypred.l1.ways_read"],
-              stats["waypred.l1.probes"] * pred.ways());
-}
-
-TEST(WayPredTest, ModeParsing)
-{
-    {
-        ScopedEnv e("BTBSIM_WAYPRED", "utag");
-        EXPECT_EQ(wayPredModeFromEnv(), WayPredMode::kUtag);
-    }
-    {
-        ScopedEnv e("BTBSIM_WAYPRED", "mru");
-        EXPECT_EQ(wayPredModeFromEnv(), WayPredMode::kMru);
-    }
-    {
-        ScopedEnv e("BTBSIM_WAYPRED", "off");
-        EXPECT_EQ(wayPredModeFromEnv(), WayPredMode::kOff);
-    }
-    {
-        ScopedEnv e("BTBSIM_WAYPRED", "bogus");
-        EXPECT_EQ(wayPredModeFromEnv(), WayPredMode::kOff);
+    for (const auto &[sets, ways] :
+         {std::pair{0u, 8u}, std::pair{64u, 0u}, std::pair{64u, 40u}}) {
+        CacheConfig cfg;
+        cfg.sets = sets;
+        cfg.ways = ways;
+        EXPECT_THROW(Cache(cfg, nullptr, nullptr), std::invalid_argument)
+            << sets << "x" << ways;
     }
 }
 
