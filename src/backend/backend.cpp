@@ -39,7 +39,7 @@ Backend::producerLive(std::uint64_t seq, std::uint32_t slot) const
 }
 
 void
-Backend::allocate(DynInst &&inst, Cycle now)
+Backend::allocate(const DynInst &inst, Cycle now)
 {
     // Rename: resolve sources to producing sequence numbers and slots.
     const std::uint8_t src[2] = {inst.in.src1, inst.in.src2};

@@ -82,7 +82,7 @@ class Backend
     bool canAllocate() const;
 
     /** Allocate @p inst into ROB/IQ (call only when canAllocate()). */
-    void allocate(DynInst &&inst, Cycle now);
+    void allocate(const DynInst &inst, Cycle now);
 
     /** Issue + complete + commit for cycle @p now. */
     void runCycle(Cycle now);

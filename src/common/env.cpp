@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 namespace btbsim::env {
@@ -113,6 +114,17 @@ u64(const char *name, std::uint64_t fallback)
                                     ": expected an unsigned decimal "
                                     "integer");
     return n;
+}
+
+std::uint32_t
+u32(const char *name, std::uint32_t fallback)
+{
+    const std::uint64_t n = u64(name, fallback);
+    if (n > std::numeric_limits<std::uint32_t>::max())
+        throw std::invalid_argument(std::string(name) + "=" + raw(name) +
+                                    ": out of range for an unsigned "
+                                    "32-bit value");
+    return static_cast<std::uint32_t>(n);
 }
 
 bool

@@ -43,6 +43,11 @@ bool isSet(const char *name);
  *  non-digit, trailing characters or a value above 2^64-1. */
 std::uint64_t u64(const char *name, std::uint64_t fallback);
 
+/** u64() for a knob stored in 32 bits.
+ *  @throws std::invalid_argument (naming the knob) on anything u64()
+ *  rejects and on a value above 2^32-1. */
+std::uint32_t u32(const char *name, std::uint32_t fallback);
+
 /** Flag semantics: set, non-empty and not "0". */
 bool flag(const char *name);
 

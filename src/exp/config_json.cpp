@@ -1,7 +1,11 @@
 #include "exp/config_json.h"
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace btbsim::exp {
 
@@ -13,16 +17,26 @@ std::uint64_t
 u64At(const obs::JsonValue &v, std::string_view key)
 {
     const double d = v.at(key).asNumber();
-    if (d < 0)
-        throw std::runtime_error("negative value for \"" + std::string(key) +
-                                 "\"");
+    // Whole numbers in [0, 2^64) only: converting a fraction loses it
+    // silently, and a value out of range is undefined behaviour.
+    if (!(d >= 0) || d >= 0x1p64 || d != std::floor(d)) {
+        std::ostringstream os;
+        os << "expected an unsigned 64-bit integer for \"" << key
+           << "\", got " << d;
+        throw std::runtime_error(os.str());
+    }
     return static_cast<std::uint64_t>(d);
 }
 
 unsigned
 u32At(const obs::JsonValue &v, std::string_view key)
 {
-    return static_cast<unsigned>(u64At(v, key));
+    const std::uint64_t n = u64At(v, key);
+    if (n > std::numeric_limits<std::uint32_t>::max())
+        throw std::runtime_error("value " + std::to_string(n) + " for \"" +
+                                 std::string(key) +
+                                 "\" is out of range for 32 bits");
+    return static_cast<unsigned>(n);
 }
 
 double

@@ -3,20 +3,28 @@
  * Fetch Target Queue: the decoupling queue between PC generation and
  * instruction fetch (Reinman et al.). One entry relates to a single cache
  * line (Table 1), holding the fetch PCs that fall within it.
+ *
+ * The queue is a ring of recycled entries sized at construction. Each
+ * slot keeps its instruction vector's capacity across reuse, so the
+ * PcGen -> fetch hand-off allocates nothing in steady state.
  */
 
 #ifndef BTBSIM_FRONTEND_FTQ_H
 #define BTBSIM_FRONTEND_FTQ_H
 
-#include <deque>
 #include <vector>
 
+#include "common/fifo_ring.h"
 #include "common/types.h"
 #include "sim/dyn_inst.h"
 
 namespace btbsim {
 
-/** One FTQ entry: instructions within a single I-cache line. */
+/**
+ * One FTQ entry: instructions within a single I-cache line. @c insts is
+ * growable: a same-line entry can hold more than one line's worth of
+ * instructions (PcGen may append a non-sequential target to it).
+ */
 struct FtqEntry
 {
     Addr line = 0;
@@ -31,12 +39,20 @@ struct FtqEntry
 class Ftq
 {
   public:
-    explicit Ftq(std::size_t capacity = 64) : capacity_(capacity) {}
+    /** @throws std::invalid_argument for a zero @p capacity. */
+    explicit Ftq(std::size_t capacity = 64) : entries_(capacity)
+    {
+        // One line's worth per slot up front; a longer entry grows its
+        // slot once and keeps the capacity.
+        for (std::size_t i = 0; i < capacity; ++i)
+            entries_.pushSlot().insts.reserve(kLineBytes / kInstBytes);
+        entries_.clear();
+    }
 
-    bool full() const { return entries_.size() >= capacity_; }
+    bool full() const { return entries_.full(); }
     bool empty() const { return entries_.empty(); }
     std::size_t size() const { return entries_.size(); }
-    std::size_t capacity() const { return capacity_; }
+    std::size_t capacity() const { return entries_.capacity(); }
 
     /**
      * Append @p inst, opening a new entry when the line changes (or when
@@ -57,11 +73,14 @@ class Ftq
         }
         if (full())
             return false;
-        FtqEntry e;
+        FtqEntry &e = entries_.pushSlot();
         e.line = line;
+        e.insts.clear();
         e.min_issue_cycle = bypass ? now : now + 1;
+        e.issued = false;
+        e.data_ready = 0;
+        e.next_idx = 0;
         e.insts.push_back(inst);
-        entries_.push_back(std::move(e));
         return true;
     }
 
@@ -76,7 +95,8 @@ class Ftq
         return !full();
     }
 
-    std::deque<FtqEntry> &entries() { return entries_; }
+    /** The @p i-th oldest entry (0 = front); requires i < size(). */
+    FtqEntry &at(std::size_t i) { return entries_[i]; }
     FtqEntry &front() { return entries_.front(); }
 
     void
@@ -86,7 +106,7 @@ class Ftq
         // the first-unissued index left by one.
         if (first_unissued_ > 0)
             --first_unissued_;
-        entries_.pop_front();
+        entries_.popFront();
     }
 
     void
@@ -107,8 +127,7 @@ class Ftq
     void noteIssued() { ++first_unissued_; }
 
   private:
-    std::size_t capacity_;
-    std::deque<FtqEntry> entries_;
+    FifoRing<FtqEntry> entries_;
     std::size_t first_unissued_ = 0;
 };
 

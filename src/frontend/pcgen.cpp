@@ -126,7 +126,6 @@ PcGen::runCycle(Cycle now)
             // if the stale slot would have redirected fetch.
             if (isAlwaysTaken(v.type)) {
                 d.resteer = Resteer::kDecode;
-                d.counts_misfetch = true;
                 ++stats.misfetches;
                 ftq_->push(d, now, bypass, force_new_entry);
                 ++stats.fetch_pcs;
@@ -194,10 +193,8 @@ PcGen::runCycle(Cycle now)
             }
             d.resteer = r;
             if (r == Resteer::kDecode) {
-                d.counts_misfetch = true;
                 ++stats.misfetches;
             } else {
-                d.counts_mispredict = true;
                 ++stats.mispredicts;
                 if (in.branch == BranchClass::kCondDirect) {
                     if (tracked && dir_pred != in.taken)

@@ -2,7 +2,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <unordered_map>
+#include <stdexcept>
+#include <string>
 
 #include "check/checker.h"
 #include "obs/span.h"
@@ -10,19 +11,48 @@
 
 namespace btbsim {
 
+namespace {
+
+/** @p cfg itself, once its pipeline geometry is known to be buildable. */
+const CpuConfig &
+checkedGeometry(const CpuConfig &cfg)
+{
+    auto positive = [](unsigned v, const char *field) {
+        if (v == 0)
+            throw std::invalid_argument(std::string("CpuConfig::") + field +
+                                        " must be >= 1");
+    };
+    positive(cfg.ftq_entries, "ftq_entries");
+    positive(cfg.decode_queue, "decode_queue");
+    positive(cfg.alloc_queue, "alloc_queue");
+    positive(cfg.fetch_width, "fetch_width");
+    positive(cfg.fetch_lines, "fetch_lines");
+    positive(cfg.decode_width, "decode_width");
+    positive(cfg.alloc_width, "alloc_width");
+    // deliver() tracks the interleaves used per cycle in a 32-bit mask.
+    if (cfg.mem.icache_interleaves < 1 || cfg.mem.icache_interleaves > 32)
+        throw std::invalid_argument(
+            "MemConfig::icache_interleaves must be in 1..32, got " +
+            std::to_string(cfg.mem.icache_interleaves));
+    return cfg;
+}
+
+} // namespace
+
 Cpu::Cpu(const CpuConfig &cfg, TraceSource &trace)
     : Cpu(cfg, trace, makeBtb(cfg.btb))
 {}
 
 Cpu::Cpu(const CpuConfig &cfg, TraceSource &trace,
          std::unique_ptr<BtbOrg> org)
-    : cfg_(cfg), trace_(&trace), mem_(cfg.mem), bpred_(cfg.bpred),
-      org_(std::move(org)),
+    : cfg_(checkedGeometry(cfg)), trace_(&trace), mem_(cfg.mem),
+      bpred_(cfg.bpred), org_(std::move(org)),
       checked_(check::CheckedBtb::wrapFromEnv(*org_)),
       btb_front_(checked_ ? static_cast<BtbOrg *>(checked_.get())
                           : org_.get()),
       ftq_(cfg.ftq_entries),
-      pcgen_(*btb_front_, bpred_, trace, ftq_), backend_(cfg.backend, mem_)
+      pcgen_(*btb_front_, bpred_, trace, ftq_), backend_(cfg.backend, mem_),
+      decode_queue_(cfg.decode_queue), alloc_queue_(cfg.alloc_queue)
 {
     stats_.config = org_->config().name();
     stats_.workload = trace.name();
@@ -34,16 +64,15 @@ void
 Cpu::fetchIssue()
 {
     unsigned issues = 0;
-    std::deque<FtqEntry> &entries = ftq_.entries();
     // Entries before firstUnissued() are all issued; start past them.
-    for (std::size_t i = ftq_.firstUnissued(); i < entries.size(); ++i) {
-        FtqEntry &e = entries[i];
+    for (std::size_t i = ftq_.firstUnissued(); i < ftq_.size(); ++i) {
+        FtqEntry &e = ftq_.at(i);
         if (issues >= cfg_.fetch_lines)
             break;
         if (e.min_issue_cycle > now_)
             break; // Younger entries cannot be earlier.
-        const bool was_miss = !mem_.l1i().contains(e.line);
-        e.data_ready = mem_.fetchLine(e.line, now_);
+        bool was_miss = false;
+        e.data_ready = mem_.fetchLine(e.line, now_, was_miss);
         e.issued = true;
         ftq_.noteIssued();
         ++issues;
@@ -62,7 +91,7 @@ Cpu::deliver()
     bool have_prev = false;
 
     while (!ftq_.empty() && instrs < cfg_.fetch_width &&
-           decode_queue_.size() < cfg_.decode_queue) {
+           !decode_queue_.full()) {
         FtqEntry &e = ftq_.front();
         if (!e.issued || e.data_ready > now_)
             break; // In-order delivery.
@@ -84,12 +113,11 @@ Cpu::deliver()
 
         bool entry_done = true;
         while (e.next_idx < e.insts.size()) {
-            if (instrs >= cfg_.fetch_width ||
-                decode_queue_.size() >= cfg_.decode_queue) {
+            if (instrs >= cfg_.fetch_width || decode_queue_.full()) {
                 entry_done = false;
                 break;
             }
-            decode_queue_.push_back(std::move(e.insts[e.next_idx]));
+            decode_queue_.push(e.insts[e.next_idx]);
             ++e.next_idx;
             ++instrs;
         }
@@ -104,13 +132,13 @@ Cpu::decode()
 {
     unsigned n = 0;
     while (!decode_queue_.empty() && n < cfg_.decode_width &&
-           alloc_queue_.size() < cfg_.alloc_queue) {
-        DynInst d = std::move(decode_queue_.front());
-        decode_queue_.pop_front();
+           !alloc_queue_.full()) {
+        DynInst &d = alloc_queue_.pushSlot();
+        d = decode_queue_.front();
+        decode_queue_.popFront();
         d.decode_cycle = now_;
         if (d.resteer == Resteer::kDecode)
             pcgen_.resteerResolved(now_);
-        alloc_queue_.push_back(std::move(d));
         ++n;
     }
 }
@@ -123,8 +151,8 @@ Cpu::allocate()
            backend_.canAllocate()) {
         if (alloc_queue_.front().decode_cycle >= now_)
             break; // Decoded this cycle; allocate next cycle.
-        backend_.allocate(std::move(alloc_queue_.front()), now_);
-        alloc_queue_.pop_front();
+        backend_.allocate(alloc_queue_.front(), now_);
+        alloc_queue_.popFront();
         ++n;
     }
 }

@@ -7,11 +7,11 @@
 #ifndef BTBSIM_SIM_CPU_H
 #define BTBSIM_SIM_CPU_H
 
-#include <deque>
 #include <memory>
 
 #include "backend/backend.h"
 #include "bpred/bpred_unit.h"
+#include "common/fifo_ring.h"
 #include "core/btb_org.h"
 #include "frontend/ftq.h"
 #include "frontend/pcgen.h"
@@ -33,10 +33,16 @@ class CheckedBtb;
  * The simulated core. Construction wires BP stage (BTB + predictors),
  * FTQ, fetch, decode/allocate queues and the backend; run() executes a
  * warmup phase followed by a measurement phase and fills stats().
+ *
+ * The FTQ and the decode and allocate queues are fixed rings sized from
+ * cfg (ftq_entries, decode_queue, alloc_queue) at construction, so the
+ * instruction hand-off from PcGen to the ROB allocates nothing.
  */
 class Cpu
 {
   public:
+    /** @throws std::invalid_argument when cfg has a zero queue size or
+     *  width, or icache_interleaves outside 1..32. */
     Cpu(const CpuConfig &cfg, TraceSource &trace);
 
     /**
@@ -102,8 +108,8 @@ class Cpu
     PcGen pcgen_;
     Backend backend_;
 
-    std::deque<DynInst> decode_queue_;
-    std::deque<DynInst> alloc_queue_;
+    FifoRing<DynInst> decode_queue_;
+    FifoRing<DynInst> alloc_queue_;
 
     Cycle now_ = 0;
     SimStats stats_;

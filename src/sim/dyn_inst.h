@@ -20,7 +20,11 @@ enum class Resteer : std::uint8_t {
     kExec,   ///< Misprediction: resolved when the branch executes.
 };
 
-/** One in-flight instruction with its timing record. */
+/**
+ * One in-flight instruction, copied from the FTQ through the decode and
+ * allocate queues into the ROB. It carries only what those stages read;
+ * the backend keeps its own per-entry dependence and timing record.
+ */
 struct DynInst
 {
     Instruction in;
@@ -28,19 +32,12 @@ struct DynInst
 
     /// Frontend event this instruction resolves.
     Resteer resteer = Resteer::kNone;
-    bool counts_mispredict = false; ///< Branch misprediction (MPKI).
-    bool counts_misfetch = false;   ///< BTB misfetch (resolved at Decode).
 
-    /// Producer sequence numbers (0 = no dependency).
-    std::uint64_t dep1 = 0;
-    std::uint64_t dep2 = 0;
-
-    // Timing (absolute cycles, 0 = not reached).
+    /// Cycle the instruction left Decode (allocation waits one cycle).
     Cycle decode_cycle = 0;
-    Cycle alloc_cycle = 0;
-    Cycle issue_cycle = 0;
-    Cycle complete_cycle = 0;
 };
+
+static_assert(sizeof(DynInst) <= 56, "DynInst is copied per stage");
 
 } // namespace btbsim
 

@@ -46,7 +46,7 @@ RunOptions::fromEnv()
     o.measure = env::u64("BTBSIM_MEASURE", o.measure);
     o.traces =
         static_cast<std::size_t>(env::u64("BTBSIM_TRACES", o.traces));
-    o.threads = static_cast<unsigned>(env::u64("BTBSIM_THREADS", 0));
+    o.threads = env::u32("BTBSIM_THREADS", 0);
     return o;
 }
 

@@ -2,6 +2,8 @@
 
 #include <cstring>
 #include <fstream>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/env.h"
@@ -73,8 +75,14 @@ TraceReplaySource::Options::fromEnv()
 {
     Options o;
     o.use_mmap = !env::disabled("BTBSIM_REPLAY_MMAP");
-    if (env::isSet("BTBSIM_REPLAY_CACHE_MB"))
-        o.cache_budget_bytes = env::u64("BTBSIM_REPLAY_CACHE_MB", 0) << 20;
+    if (env::isSet("BTBSIM_REPLAY_CACHE_MB")) {
+        const std::uint64_t mb = env::u64("BTBSIM_REPLAY_CACHE_MB", 0);
+        if (mb > (~std::uint64_t{0} >> 20))
+            throw std::invalid_argument(
+                "BTBSIM_REPLAY_CACHE_MB=" + std::to_string(mb) +
+                ": the byte budget overflows 64 bits");
+        o.cache_budget_bytes = mb << 20;
+    }
     return o;
 }
 

@@ -140,10 +140,9 @@ class DiffRun
             ASSERT_EQ(can, ref_.canAllocate()) << "cycle " << now;
             if (!can)
                 return;
-            DynInst d = makeInst();
-            DynInst copy = d;
-            fast_.allocate(std::move(d), now);
-            ref_.allocate(std::move(copy), now);
+            const DynInst d = makeInst();
+            fast_.allocate(d, now);
+            ref_.allocate(d, now);
         }
     }
 

@@ -156,6 +156,58 @@ TEST(ConfigJson, MissingKeyThrows)
                  std::runtime_error);
 }
 
+namespace {
+
+/** @p json with the first `"key": <number>` value replaced by @p value. */
+std::string
+withValue(std::string json, const std::string &key, const std::string &value)
+{
+    const std::string needle = "\"" + key + "\": ";
+    const auto pos = json.find(needle);
+    EXPECT_NE(pos, std::string::npos) << key;
+    if (pos == std::string::npos)
+        return json;
+    const auto start = pos + needle.size();
+    const auto end = json.find_first_of(",}\n", start);
+    return json.replace(start, end - start, value);
+}
+
+} // namespace
+
+TEST(ConfigJson, IntegerFieldsRejectFractionsAndOverflow)
+{
+    // 32-bit fields: a fraction, 2^32 (truncated to 0 before), a value
+    // that does not fit 64 bits, and a negative.
+    const std::string cpu = exp::toCanonicalJson(CpuConfig{});
+    for (const char *key : {"ftq_entries", "icache_interleaves", "rob_size"})
+        for (const char *bad : {"1.5", "4294967296", "1e20", "-1"})
+            EXPECT_THROW(exp::cpuConfigFromJson(
+                             obs::parseJson(withValue(cpu, key, bad))),
+                         std::runtime_error)
+                << key << " = " << bad;
+    EXPECT_EQ(exp::cpuConfigFromJson(obs::parseJson(
+                  withValue(cpu, "ftq_entries", "4294967295")))
+                  .ftq_entries,
+              4294967295u);
+
+    // 64-bit fields: a fraction, 2^64 and beyond.
+    const std::string run = exp::toCanonicalJson(RunOptions{});
+    for (const char *bad :
+         {"0.5", "1000.25", "18446744073709551616", "1e20", "-3"})
+        EXPECT_THROW(exp::runOptionsFromJson(
+                         obs::parseJson(withValue(run, "warmup", bad))),
+                     std::runtime_error)
+            << "warmup = " << bad;
+    EXPECT_EQ(exp::runOptionsFromJson(
+                  obs::parseJson(withValue(run, "warmup", "9007199254740992")))
+                  .warmup,
+              9007199254740992ull); // 2^53
+    EXPECT_THROW(exp::workloadSpecFromJson(obs::parseJson(withValue(
+                     exp::toCanonicalJson(WorkloadSpec{}), "trace_seed",
+                     "2.5"))),
+                 std::runtime_error);
+}
+
 TEST(ConfigJson, EnumNamesRoundTrip)
 {
     for (BtbKind k : {BtbKind::kInstruction, BtbKind::kRegion,

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "btb_test_util.h"
 #include "sim/cpu.h"
 #include "trace_util.h"
@@ -170,4 +172,42 @@ TEST(Cpu, ObservabilityHarvest)
     }
     EXPECT_TRUE(saw_miss);
     EXPECT_TRUE(saw_fill);
+}
+
+TEST(CpuGeometry, ZeroQueuesAndWidthsAreRejected)
+{
+    // A zero queue used to spin until the deadlock guard aborted.
+    VectorTrace trace(jumpLoop(0x1000, 15));
+    for (unsigned CpuConfig::*field :
+         {&CpuConfig::ftq_entries, &CpuConfig::decode_queue,
+          &CpuConfig::alloc_queue, &CpuConfig::fetch_width,
+          &CpuConfig::fetch_lines, &CpuConfig::decode_width,
+          &CpuConfig::alloc_width}) {
+        CpuConfig cfg;
+        cfg.*field = 0;
+        EXPECT_THROW(Cpu(cfg, trace), std::invalid_argument);
+        cfg.*field = 1;
+        Cpu cpu(cfg, trace);
+        cpu.run(0, 200);
+        EXPECT_GE(cpu.stats().instructions, 200u);
+    }
+}
+
+TEST(CpuGeometry, IcacheInterleavesMustFitTheFetchMask)
+{
+    // 0 divided by zero in icacheInterleave(); 33 and up shifted a
+    // 32-bit interleave mask out of range in deliver().
+    VectorTrace trace(jumpLoop(0x1000, 15));
+    for (unsigned bad : {0u, 33u, 64u}) {
+        CpuConfig cfg;
+        cfg.mem.icache_interleaves = bad;
+        EXPECT_THROW(Cpu(cfg, trace), std::invalid_argument) << bad;
+    }
+    for (unsigned ok : {1u, 32u}) {
+        CpuConfig cfg;
+        cfg.mem.icache_interleaves = ok;
+        Cpu cpu(cfg, trace);
+        cpu.run(0, 200);
+        EXPECT_GE(cpu.stats().instructions, 200u) << ok;
+    }
 }

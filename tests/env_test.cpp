@@ -10,6 +10,8 @@
 
 #include "common/env.h"
 #include "env_util.h"
+#include "sim/runner.h"
+#include "traceio/trace_reader.h"
 
 using namespace btbsim;
 using btbsim::test::ScopedEnv;
@@ -17,6 +19,21 @@ using btbsim::test::ScopedEnv;
 namespace {
 
 constexpr const char *kVar = "BTBSIM_WARMUP"; // Any registered knob.
+
+/** Expect @p read to throw std::invalid_argument naming @p knob. */
+template <typename F>
+void
+expectRejected(const char *knob, const char *value, F read)
+{
+    ScopedEnv e(knob, value);
+    try {
+        read();
+        ADD_FAILURE() << "accepted " << knob << "=" << value;
+    } catch (const std::invalid_argument &ex) {
+        EXPECT_NE(std::string(ex.what()).find(knob), std::string::npos)
+            << ex.what();
+    }
+}
 
 } // namespace
 
@@ -99,6 +116,46 @@ TEST(Env, U64)
                 << ex.what();
         }
     }
+}
+
+TEST(Env, U32)
+{
+    {
+        ScopedEnv e(kVar, nullptr);
+        EXPECT_EQ(env::u32(kVar, 77), 77u);
+    }
+    {
+        ScopedEnv e(kVar, "4294967295");
+        EXPECT_EQ(env::u32(kVar, 77), 4294967295u);
+    }
+    // Above 2^32-1 used to wrap when narrowed (2^32+1 ran one thread).
+    for (const char *bad : {"4294967296", "4294967297", "18446744073709551615",
+                            "-1", "1e3"})
+        expectRejected(kVar, bad, [] { env::u32(kVar, 77); });
+}
+
+TEST(Env, ThreadsKnobIsRangeChecked)
+{
+    {
+        ScopedEnv e("BTBSIM_THREADS", "3");
+        EXPECT_EQ(RunOptions::fromEnv().threads, 3u);
+    }
+    for (const char *bad : {"4294967296", "4294967297"})
+        expectRejected("BTBSIM_THREADS", bad, [] { RunOptions::fromEnv(); });
+}
+
+TEST(Env, ReplayCacheBudgetIsRangeChecked)
+{
+    using Options = traceio::TraceReplaySource::Options;
+    {
+        ScopedEnv e("BTBSIM_REPLAY_CACHE_MB", "17592186044415"); // 2^44-1
+        EXPECT_EQ(Options::fromEnv().cache_budget_bytes,
+                  17592186044415ull << 20);
+    }
+    // 2^44 MB is 2^64 bytes: the shift would overflow.
+    for (const char *bad : {"17592186044416", "18446744073709551615"})
+        expectRejected("BTBSIM_REPLAY_CACHE_MB", bad,
+                       [] { Options::fromEnv(); });
 }
 
 TEST(Env, FlagAndDisabled)
